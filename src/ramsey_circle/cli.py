@@ -29,8 +29,7 @@ from . import beatty, doubling, majority as majority_mod, robust, satgen, unifor
 from .core import (DiscreteInstance, DistanceTuple, ParseError,
                    RefutationError, discretize, parse_colouring,
                    parse_fraction, parse_fraction_list, serialize_colouring)
-from .detector import (CopyWitness, DuplicateSubsetSumError, count_copies,
-                       detect_bruteforce, detect_dp)
+from .detector import CopyWitness, count_copies, detect_bruteforce, detect_dp
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -45,7 +44,6 @@ SCHEMA = 1
 class RunConfig:
     command: str
     json_output: bool
-    seed: int
     parallelism: int
 
 
@@ -115,20 +113,12 @@ def _cmd_check(cfg: RunConfig, args) -> int:
                     "total": red + blue, "n": inst.n},
               [f"red copies: {red}", f"blue copies: {blue}"])
         return EXIT_OK if red + blue else EXIT_NEGATIVE
-    if args.brute:
+    if args.dp and restriction is not None:
+        raise ValueError("--restrict requires the brute-force detector")
+    if args.brute or restriction is not None:
         witness = detect_bruteforce(c, inst, restriction=restriction)
-    elif args.dp:
-        if restriction is not None:
-            raise ValueError("--restrict requires the brute-force detector")
-        witness = detect_dp(c, inst)
     else:
-        if restriction is not None:
-            witness = detect_bruteforce(c, inst, restriction=restriction)
-        else:
-            try:
-                witness = detect_dp(c, inst)
-            except DuplicateSubsetSumError:
-                witness = detect_bruteforce(c, inst)
+        witness = detect_dp(c, inst)
     if witness is None:
         _emit(cfg, {"witness": None, "n": inst.n}, ["no monochromatic copy"])
         return EXIT_NEGATIVE
@@ -432,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification toolkit for Ramsey distance tuples "
                     "on the unit circle.")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps (reserved, default 0)")
     parser.add_argument("--parallel", type=int, default=1,
                         help="worker count for batch runs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -442,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="colouring file")
     p.add_argument("--gaps", required=True, help="fractions 4/7,2/7,1/7 or integers 4,2,1")
     engine = p.add_mutually_exclusive_group()
-    engine.add_argument("--dp", action="store_true", help="force the subset-sum DP detector")
+    engine.add_argument("--dp", action="store_true",
+                        help="force the sub-multiset DP detector (the default without --restrict)")
     engine.add_argument("--brute", action="store_true", help="force the brute-force detector")
     p.add_argument("--restrict", help="file of allowed cyclic gap orders")
     p.add_argument("--count", action="store_true", help="count monochromatic copies per colour")
@@ -527,7 +516,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     cfg = RunConfig(command=args.command, json_output=args.json,
-                    seed=args.seed, parallelism=args.parallel)
+                    parallelism=args.parallel)
     try:
         return _HANDLERS[args.command](cfg, args)
     except RefutationError as exc:

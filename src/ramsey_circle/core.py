@@ -22,9 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-# The exact scalar used for distances, densities and Beatty parameters.
-Rational = Fraction
-
 _FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
@@ -148,27 +145,6 @@ def discretize(d: DistanceTuple, multiplier: int = 1) -> DiscreteInstance:
     n = d.lcm_denominator() * multiplier
     gaps = tuple(int(di * n) for di in d.distances)
     return DiscreteInstance(n=n, gaps=gaps)
-
-
-@dataclass(frozen=True)
-class KtuplePower:
-    """The canonical candidate tuple for each k, with its discretisation."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError(f"k must be >= 3, got {self.k}")
-
-    @property
-    def distance_tuple(self) -> DistanceTuple:
-        return power_tuple(self.k)
-
-    @property
-    def instance(self) -> DiscreteInstance:
-        # n = 2^k - 1 with gaps (2^(k-1), ..., 2, 1): every subset of the
-        # gaps has a distinct sum (binary representation of 0..n).
-        return discretize(power_tuple(self.k))
 
 
 def _validate_mask(n: int, mask: int) -> None:

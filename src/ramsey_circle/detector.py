@@ -1,15 +1,16 @@
 """Monochromatic-copy detection in colourings of Z_n.
 
-Two interchangeable detectors are provided.  `detect_bruteforce` scans every
-permuted copy of the gap tuple directly.  `detect_dp` runs the subset-sum
-dynamic program: when all 2^k subset sums of the gaps are pairwise distinct,
-the multiset of gaps used by a path between two vertices is forced by the
-arc length alone, so path reachability can be filled in by increasing
-subset size.  The reachability pass is evaluated bit-parallel across start
-vertices (one n-bit integer per arc length), which keeps the textbook
-O(n^2 k) step count but does 64 starts per word.
+`detect_bruteforce` scans every permuted copy of the gap tuple directly and
+is the independent oracle.  Every other copy question goes through one
+kernel, a reachability DP indexed by the sub-multiset of gaps a path uses:
+`detect_dp` runs it once per colour class, and `find_copy_in_class` is the
+single-class query.  Sub-multisets are mixed-radix indices over (distinct
+gap value, multiplicity), so repeated gaps and colliding subset sums need
+no special case.  Each state is one n-bit integer holding every start
+vertex at once, so a pass costs prod(multiplicity + 1) rotations of an
+n-bit mask, 2^k for distinct gaps.
 
-Both detectors return the same witness on the same input: the copy whose
+Both routes return the same witness on the same input: the copy whose
 presentation (smallest vertex, then gap order, then Red before Blue) is
 lexicographically least.  A black vertex, when present, matches both colour
 classes.
@@ -18,6 +19,7 @@ classes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -27,67 +29,6 @@ from .core import Colouring, DiscreteInstance, rotate_mask
 # Above this many (start, order) walks the copy table is not cached and
 # detection streams instead; verdicts and witnesses are identical.
 _CACHE_WALK_LIMIT = 400_000
-
-
-class DuplicateSubsetSumError(ValueError):
-    """Two distinct gap subsets share a sum, so the DP ordering collapses."""
-
-    def __init__(self, gaps, first, second, total):
-        self.colliding = (first, second)
-        fv = tuple(gaps[i] for i in first)
-        sv = tuple(gaps[i] for i in second)
-        super().__init__(
-            f"subset sums are not pairwise distinct: gaps {fv} (indices {first}) "
-            f"and {sv} (indices {second}) both sum to {total}")
-
-
-@dataclass(frozen=True)
-class SubsetSumTable:
-    """Per-arc-length decomposition table.
-
-    b[l] is the size of the unique gap subset summing to l (0 if none) and
-    index_sets[l] lists its gap indices; entry l = n holds the full set.
-    """
-
-    n: int
-    gaps: tuple[int, ...]
-    b: tuple[int, ...]
-    index_sets: tuple[Optional[tuple[int, ...]], ...]
-
-    @classmethod
-    def build(cls, inst: DiscreteInstance) -> "SubsetSumTable":
-        gaps = inst.gaps
-        k = len(gaps)
-        n = inst.n
-        b = [0] * (n + 1)
-        index_sets: list[Optional[tuple[int, ...]]] = [None] * (n + 1)
-        seen: dict[int, tuple[int, ...]] = {}
-        for bits in range(1 << k):
-            idx = tuple(i for i in range(k) if bits >> i & 1)
-            total = sum(gaps[i] for i in idx)
-            if total in seen:
-                raise DuplicateSubsetSumError(gaps, seen[total], idx, total)
-            seen[total] = idx
-            if idx:
-                b[total] = len(idx)
-                index_sets[total] = idx
-        return cls(n=n, gaps=gaps, b=tuple(b), index_sets=tuple(index_sets))
-
-    def values(self, length: int) -> tuple[int, ...]:
-        idx = self.index_sets[length]
-        assert idx is not None, f"no subset sums to {length}"
-        return tuple(self.gaps[i] for i in idx)
-
-    def lengths_by_size(self) -> list[int]:
-        """Realizable arc lengths ordered by non-strictly increasing b."""
-        real = [length for length in range(1, self.n + 1) if self.b[length]]
-        real.sort(key=lambda length: (self.b[length], length))
-        return real
-
-
-@lru_cache(maxsize=64)
-def _subset_table(n: int, gaps: tuple[int, ...]) -> SubsetSumTable:
-    return SubsetSumTable.build(DiscreteInstance(n=n, gaps=gaps))
 
 
 @dataclass(frozen=True)
@@ -205,69 +146,90 @@ def detect_bruteforce(c: Colouring, inst: DiscreteInstance,
     return None
 
 
-def _dp_reach(class_mask: int, n: int, table: SubsetSumTable) -> dict[int, int]:
-    """Bit-parallel reachability: bit i of reach[l] says an all-in-class
-    counterclockwise path exists from i to i+l using exactly the gap subset
-    summing to l.  Filled in non-strictly increasing subset size; the final
-    entry reach[n] marks start vertices of full monochromatic copies."""
-    reach = {0: class_mask}
-    for length in table.lengths_by_size():
+@lru_cache(maxsize=64)
+def _plan(gaps: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """Sum and predecessors of every sub-multiset of the gap tuple.
+
+    Index i holds count a_j of the j-th distinct gap value as a mixed-radix
+    digit of base (multiplicity_j + 1), so removing one gap g from i gives a
+    smaller index.  preds[i] lists (g, j) for each value g present in i, in
+    ascending g, where j indexes i with one g removed; the last index is the
+    full multiset.
+    """
+    values = sorted(set(gaps))
+    radices = [gaps.count(g) + 1 for g in values]
+    weights = [math.prod(radices[:j]) for j in range(len(values))]
+    sums, preds = [], []
+    for i in range(math.prod(radices)):
+        digits = [i // w % r for w, r in zip(weights, radices)]
+        sums.append(sum(a * g for a, g in zip(digits, values)))
+        preds.append(tuple((g, i - w) for a, g, w in zip(digits, values, weights) if a))
+    return tuple(sums), tuple(preds)
+
+
+def _least_copy(class_mask: int, n: int, gaps: tuple[int, ...],
+                ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The kernel behind both public queries.  Callers sort the gaps, so
+    every order of one multiset shares a cached plan.
+
+    Bit i of reach[S] says an all-in-class counterclockwise path starts at i
+    and uses exactly the sub-multiset S of gaps:
+    reach[S] = rot(class, -sum S) & OR_{g in S} reach[S - g].  reach[full]
+    marks the start vertices of copies.  From the lowest one, the walk
+    forward takes the smallest g whose landing vertex still reaches the
+    start with the remaining gaps, which gives the least gap order.
+    """
+    sums, preds = _plan(gaps)
+    reach = [class_mask]
+    for total, ps in zip(sums[1:], preds[1:]):
         acc = 0
-        for g in table.values(length):
-            acc |= reach[length - g]
-        reach[length] = rotate_mask(class_mask, -length, n) & acc
-    return reach
-
-
-def _dp_greedy_order(reach: dict[int, int], n: int, table: SubsetSumTable,
-                     start: int) -> tuple[int, ...]:
-    """Reconstruct the lexicographically least gap order of a copy at
-    `start` by walking forward and keeping the remaining path feasible."""
-    order: list[int] = []
-    u = start
-    remaining = n
-    while remaining:
-        values = table.values(remaining)
-        if len(values) == 1:
-            order.append(values[0])
-            break
-        for g in sorted(values):
-            v = (u + g) % n
-            if reach[remaining - g] >> v & 1:
-                order.append(g)
-                u = v
-                remaining -= g
-                break
-        else:
-            raise AssertionError("backtracking failed on a reachable start")
-    return tuple(order)
+        for _, p in ps:
+            acc |= reach[p]
+        reach.append(rotate_mask(class_mask, -total, n) & acc)
+    hits = reach[-1]
+    if not hits:
+        return None
+    u = (hits & -hits).bit_length() - 1
+    vertices, order = [u], []
+    rest = len(reach) - 1
+    while rest:
+        g, rest = next((g, p) for g, p in preds[rest] if reach[p] >> (u + g) % n & 1)
+        u = (u + g) % n
+        vertices.append(u)
+        order.append(g)
+    return tuple(vertices[:-1]), tuple(order)
 
 
 def detect_dp(c: Colouring, inst: DiscreteInstance) -> Optional[CopyWitness]:
-    """Subset-sum DP detector; identical verdict and witness to brute force.
+    """Sub-multiset DP detector; identical verdict and witness to brute force.
 
-    Precondition: all 2^k subset sums of the gaps are pairwise distinct
-    (raises DuplicateSubsetSumError otherwise).
+    One kernel pass per colour class; the least copy of each class competes
+    on (smallest vertex, gap order), Red before Blue on a tie.
     """
     if c.n != inst.n:
         raise ValueError(f"colouring has n={c.n} but instance has n={inst.n}")
-    table = _subset_table(inst.n, tuple(inst.gaps))
+    gaps = tuple(sorted(inst.gaps))
     candidates = []
-    for colour, rank in (("R", 0), ("B", 1)):
-        reach = _dp_reach(c.class_mask(colour), inst.n, table)
-        hits = reach[inst.n]
-        if hits:
-            start = (hits & -hits).bit_length() - 1
-            order = _dp_greedy_order(reach, inst.n, table, start)
-            candidates.append((start, order, rank, colour))
+    for rank, colour in enumerate("RB"):
+        found = _least_copy(c.class_mask(colour), inst.n, gaps)
+        if found is not None:
+            vertices, order = found
+            candidates.append((vertices[0], order, rank, vertices, colour))
     if not candidates:
         return None
-    start, order, _, colour = min(candidates)
-    vertices = [start]
-    for g in order[:-1]:
-        vertices.append((vertices[-1] + g) % inst.n)
-    return CopyWitness(tuple(vertices), order,
-                       _colour_name(colour, vertices, c.black))
+    _, order, _, vertices, colour = min(candidates)
+    return CopyWitness(vertices, order, _colour_name(colour, vertices, c.black))
+
+
+def find_copy_in_class(class_mask: int, n: int, gaps: Sequence[int],
+                       ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The lexicographically least copy lying entirely inside a colour class.
+
+    Exact for any gaps summing to n, repeated values and colliding subset
+    sums included, so a None verdict is a proof of absence.  Returns
+    (vertices, gap_order) presented from the copy's smallest vertex.
+    """
+    return _least_copy(class_mask, n, tuple(sorted(gaps)))
 
 
 def count_copies(c: Colouring, inst: DiscreteInstance) -> tuple[int, int]:
@@ -301,61 +263,3 @@ def total_copies(inst: DiscreteInstance) -> int:
     """Number of distinct permuted copies: n (k-1)! for distinct gaps."""
     return sum(1 for _ in _iter_copies(inst.n, tuple(inst.gaps)))
 
-
-def has_copy_in_class_dp(class_mask: int, inst: DiscreteInstance) -> bool:
-    """Single-class DP verdict: does a copy lie entirely in class_mask?
-
-    Same precondition as detect_dp (pairwise-distinct subset sums); cheap
-    even for large n since the reachability pass is bit-parallel.
-    """
-    table = _subset_table(inst.n, tuple(inst.gaps))
-    return _dp_reach(class_mask, inst.n, table)[inst.n] != 0
-
-
-def find_copy_in_class(class_mask: int, n: int, gaps: Sequence[int],
-                       starts: Optional[Iterable[int]] = None,
-                       ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Depth-first search for one copy lying entirely inside a colour class.
-
-    Scans starts in order, choosing gaps in ascending value; exhaustive, so
-    a None verdict is a proof of absence (for starts=None).  Suited to large
-    n where the copy table would not fit.  Returns (vertices, gap_order)
-    presented from the copy's smallest vertex.
-    """
-    k = len(gaps)
-    gaps_sorted = sorted(gaps)
-    used = [False] * k
-    path: list[int] = []
-
-    def extend(u: int) -> bool:
-        if len(path) == k - 1:
-            return True
-        prev = None
-        for i in range(k):
-            if used[i] or gaps_sorted[i] == prev:
-                continue
-            g = gaps_sorted[i]
-            v = (u + g) % n
-            if class_mask >> v & 1:
-                used[i] = True
-                path.append(g)
-                if extend(v):
-                    return True
-                path.pop()
-                used[i] = False
-            prev = g
-        return False
-
-    for v0 in (range(n) if starts is None else starts):
-        if not (class_mask >> v0 & 1):
-            continue
-        if extend(v0):
-            last = next(gaps_sorted[i] for i in range(k) if not used[i])
-            order = tuple(path) + (last,)
-            vertices = [v0]
-            for g in order[:-1]:
-                vertices.append((vertices[-1] + g) % n)
-            shift = vertices.index(min(vertices))
-            return (tuple(vertices[shift:] + vertices[:shift]),
-                    order[shift:] + order[:shift])
-    return None

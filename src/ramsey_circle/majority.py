@@ -6,7 +6,7 @@ k-part doubling tuple.  The construction splits the circle into ten
 intervals with lengths drawn from {1/16 - eps, 1/16 + eps, 1/8 - eps,
 1/8 + eps}, coloured alternately starting red, each interval containing
 its clockwise endpoint.  `majority_verify` discretises it exactly and
-searches the red class exhaustively.
+decides whether the red class holds a copy with the detector's kernel.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Colouring, DiscreteInstance
-from .detector import CopyWitness, find_copy_in_class, has_copy_in_class_dp
+from .core import Colouring
+from .detector import CopyWitness, find_copy_in_class
 
 # Largest discretisation the verifier will attempt before asking for an
 # eps with smaller denominator.
@@ -94,29 +94,35 @@ def _grid_for(params: MajorityParams) -> int:
     return grid
 
 
+def _red_instance(params: MajorityParams) -> tuple[Colouring, tuple[int, ...]]:
+    """The discretised colouring and the doubling gaps scaled to its grid."""
+    grid = _grid_for(params)
+    scale = grid // (2 ** params.k - 1)
+    gaps = tuple(2 ** (params.k - 1 - i) * scale for i in range(params.k))
+    return majority_colouring(params, grid), gaps
+
+
 def majority_verify(params: MajorityParams) -> MajorityVerdict:
     """Search the red class for a copy of the k-part doubling tuple.
 
-    Exhaustive over red start vertices; a witness disproves the claimed
+    Exact over every red start vertex; a witness disproves the claimed
     construction (for the red class only: blue copies are out of scope).
     """
-    grid = _grid_for(params)
-    c = majority_colouring(params, grid)
-    scale = grid // (2 ** params.k - 1)
-    gaps = tuple(2 ** (params.k - 1 - i) * scale for i in range(params.k))
-    found = find_copy_in_class(c.red_mask, grid, gaps)
+    c, gaps = _red_instance(params)
+    found = find_copy_in_class(c.red_mask, c.n, gaps)
     witness = None
     if found is not None:
         vertices, order = found
         witness = CopyWitness(vertices=vertices, gap_order=order, colour="Red")
     return MajorityVerdict(no_red_copy=found is None, witness=witness,
-                           grid=grid, density_gap=params.density_gap)
+                           grid=c.n, density_gap=params.density_gap)
 
 
 def red_copy_exists_dp(params: MajorityParams) -> bool:
-    """Independent verdict on the same grid via the subset-sum DP."""
-    grid = _grid_for(params)
-    c = majority_colouring(params, grid)
-    scale = grid // (2 ** params.k - 1)
-    gaps = tuple(2 ** (params.k - 1 - i) * scale for i in range(params.k))
-    return has_copy_in_class_dp(c.red_mask, DiscreteInstance(n=grid, gaps=gaps))
+    """Whether the red class holds a copy, as a bare verdict.
+
+    The same kernel query as `majority_verify`, so it is not an independent
+    check; the tests compare it with a depth-first search and brute force.
+    """
+    c, gaps = _red_instance(params)
+    return find_copy_in_class(c.red_mask, c.n, gaps) is not None

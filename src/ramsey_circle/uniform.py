@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import Colouring, DiscreteInstance, DistanceTuple, RefutationError
-from .detector import find_copy_in_class, has_copy_in_class_dp, DuplicateSubsetSumError
+from .detector import find_copy_in_class
 
 
 def uniform_colouring(t: int, grid: int) -> Colouring:
@@ -227,14 +227,7 @@ def uniform_contains_mono_copy(d: DistanceTuple, t: int) -> bool:
     """Whether the discretised uniform colouring c_t contains a
     monochromatic copy of d; by colour-swap symmetry, checking red suffices."""
     c, inst = _uniform_discretization(d, t)
-    try:
-        return has_copy_in_class_dp(c.red_mask, inst)
-    except DuplicateSubsetSumError:
-        # Repeated gaps: fall back to the exhaustive search, restricted to
-        # one colour period of c_t (rotation by the period fixes c_t).
-        period = inst.n // t
-        return find_copy_in_class(c.red_mask, inst.n, inst.gaps,
-                                  starts=range(period)) is not None
+    return find_copy_in_class(c.red_mask, inst.n, inst.gaps) is not None
 
 
 def nonpower_witness(d: DistanceTuple, max_t: int) -> Optional[int]:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Long opt-in extensions
-(solving k = 6, the k = 7 majority grid) are enabled with
-RAMSEY_ACCEPT_K6_SAT=1 and RAMSEY_ACCEPT_K7_MAJORITY=1.
+(solving k = 6, the depth-first cross-check of the k = 7 majority grid) are
+enabled with RAMSEY_ACCEPT_K6_SAT=1 and RAMSEY_ACCEPT_K7_MAJORITY=1.
 """
 
 import json
@@ -12,6 +12,7 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
+from _reference import dfs_copy_in_class
 from ramsey_circle.beatty import (BalancedWord, BeattyPair, densities,
                                   fraenkel_diagnostics, partition_check,
                                   power_pair, word_from_pair)
@@ -19,8 +20,8 @@ from ramsey_circle.cli import dispatch
 from ramsey_circle.core import Colouring, DistanceTuple, discretize, power_tuple
 from ramsey_circle.detector import count_copies, detect_bruteforce, detect_dp
 from ramsey_circle.doubling import orbit_from_uniform, prefix_permutation
-from ramsey_circle.majority import (MajorityParams, majority_verify,
-                                    red_copy_exists_dp)
+from ramsey_circle.majority import (MajorityParams, majority_colouring,
+                                    majority_verify, red_copy_exists_dp)
 from ramsey_circle.robust import (nearly_ramsey_finite_check,
                                   strongly_suitable_search)
 from ramsey_circle.satgen import verify_unavoidable
@@ -203,6 +204,14 @@ def test_criterion_09_robustness():
               "no strongly-suitable t <= 500 for the four triples")
 
 
+def _dfs_red_copy(params, grid):
+    """The test-only depth-first search over the red class of the grid."""
+    c = majority_colouring(params, grid)
+    scale = grid // (2**params.k - 1)
+    gaps = tuple(2**(params.k - 1 - i) * scale for i in range(params.k))
+    return dfs_copy_in_class(c.red_mask, grid, gaps)
+
+
 def test_criterion_10_majority():
     started = time.monotonic()
     params = MajorityParams(6, F(1, 100))
@@ -212,12 +221,15 @@ def test_criterion_10_majority():
     assert verdict.no_red_copy, "REFUTATION: red copy in the majority colouring"
     assert verdict.density_gap == F(1, 40)
     assert elapsed < 300, f"majority verification took {elapsed:.1f}s, budget 300s"
-    assert red_copy_exists_dp(params) is False   # independent route
+    assert red_copy_exists_dp(params) is False
+    assert _dfs_red_copy(params, 25200) is None   # independent route
+    params7 = MajorityParams(7, F(1, 100))
+    verdict7 = majority_verify(params7)
+    assert verdict7.no_red_copy and verdict7.grid == 50800
     if os.environ.get("RAMSEY_ACCEPT_K7_MAJORITY") == "1":
-        verdict7 = majority_verify(MajorityParams(7, F(1, 100)))
-        assert verdict7.no_red_copy and verdict7.grid == 50800
-    report(10, f"no red copy on grid 25200 (k=6, eps=1/100) in {elapsed:.1f}s; "
-               "density gap exactly 1/40")
+        assert _dfs_red_copy(params7, 50800) is None
+    report(10, f"no red copy on grid 25200 (k=6, eps=1/100) in {elapsed:.1f}s, "
+               "nor on grid 50800 (k=7); density gap exactly 1/40")
 
 
 def test_criterion_11_batch_determinism(tmp_path):

@@ -48,9 +48,11 @@ def test_check_integer_gaps_and_detector_flags(capsys, split7):
 
 
 def test_check_no_witness(capsys, split6):
-    code, body = run_json(capsys, ["check", "--input", split6, "--gaps", "3,2,1"])
-    assert code == EXIT_NEGATIVE
-    assert body["witness"] is None
+    # {3} and {2, 1} share a sum: every detector choice still gives a verdict
+    for flags in ([], ["--dp"], ["--brute"]):
+        code, body = run_json(capsys, ["check", "--input", split6, "--gaps", "3,2,1", *flags])
+        assert code == EXIT_NEGATIVE
+        assert body["witness"] is None
 
 
 def test_check_count_mode(capsys, split7):

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ramsey_circle.core import (Colouring, DiscreteInstance, DistanceTuple,
-                                KtuplePower, ParseError, discretize,
-                                parse_colouring, parse_fraction,
-                                parse_fraction_list, power_tuple,
-                                serialize_colouring)
+                                ParseError, discretize, parse_colouring,
+                                parse_fraction, parse_fraction_list,
+                                power_tuple, serialize_colouring)
 
 
 def test_power_tuple_k3():
@@ -54,7 +53,7 @@ def test_discretize_mixed_denominators():
 
 @pytest.mark.parametrize("k", range(3, 11))
 def test_power_instance_subset_sums_distinct(k):
-    inst = KtuplePower(k).instance
+    inst = discretize(power_tuple(k))
     assert inst.n == 2**k - 1
     assert inst.gaps == tuple(2**(k - 1 - i) for i in range(k))
     sums = set()

@@ -5,12 +5,11 @@ import random
 
 import pytest
 
+from _reference import dfs_copy_in_class
 from ramsey_circle.core import Colouring, DiscreteInstance, discretize, power_tuple
-from ramsey_circle.detector import (CopyWitness, DuplicateSubsetSumError,
-                                    SubsetSumTable, count_copies,
-                                    cyclic_canonical, detect_bruteforce,
-                                    detect_dp, find_copy_in_class,
-                                    has_copy_in_class_dp, total_copies)
+from ramsey_circle.detector import (CopyWitness, count_copies, cyclic_canonical,
+                                    detect_bruteforce, detect_dp,
+                                    find_copy_in_class, total_copies)
 
 
 def oracle_copies(c: Colouring, inst: DiscreteInstance):
@@ -55,10 +54,9 @@ def test_split_colouring_witness_is_smallest():
 def test_no_copy_in_even_split_hexagon():
     c = Colouring.from_string("RRRBBB")
     inst = DiscreteInstance(n=6, gaps=(3, 2, 1))
+    # {3} and {2, 1} share a sum; the DP indexes sub-multisets, not lengths
+    assert detect_dp(c, inst) is None
     assert detect_bruteforce(c, inst) is None
-    # the DP is not applicable here: {3} and {2, 1} share a sum
-    with pytest.raises(DuplicateSubsetSumError):
-        detect_dp(c, inst)
 
 
 def test_dp_agrees_on_split_colouring():
@@ -66,12 +64,16 @@ def test_dp_agrees_on_split_colouring():
     assert detect_dp(c, P3) == detect_bruteforce(c, P3)
 
 
-def test_dp_duplicate_gaps_rejected():
-    c = Colouring.from_string("RRRRBBB")
+def test_dp_duplicate_gaps_match_bruteforce():
     inst = DiscreteInstance(n=7, gaps=(2, 2, 3))
-    with pytest.raises(DuplicateSubsetSumError) as exc:
-        detect_dp(c, inst)
-    assert "2" in str(exc.value)
+    c = Colouring.from_string("RRRRBBB")
+    assert detect_dp(c, inst) == detect_bruteforce(c, inst) is None
+    c = Colouring.from_string("RRRRRBB")
+    assert detect_dp(c, inst) == detect_bruteforce(c, inst) == CopyWitness(
+        vertices=(0, 2, 4), gap_order=(2, 2, 3), colour="Red")
+    c = Colouring.from_string("RRRRBBB", black=6)
+    assert detect_dp(c, inst) == detect_bruteforce(c, inst) == CopyWitness(
+        vertices=(1, 3, 6), gap_order=(2, 3, 2), colour="RedOrBlack")
 
 
 def test_dp_on_uniform_fourteen_gon():
@@ -81,11 +83,15 @@ def test_dp_on_uniform_fourteen_gon():
     assert w == CopyWitness(vertices=(0, 2, 6), gap_order=(2, 4, 8), colour="Red")
 
 
-def test_subset_sum_table_structure():
-    table = SubsetSumTable.build(P3)
-    assert table.b[7] == 3 and set(table.values(7)) == {4, 2, 1}
-    assert table.b[3] == 2 and set(table.values(3)) == {2, 1}
-    assert table.b[5] == 2 and table.b[4] == 1 and table.b[0] == 0
+def test_dp_matches_bruteforce_on_every_small_colouring():
+    # distinct sums, a repeated gap, and colliding subset sums; every
+    # colouring, without and with each black vertex
+    for inst in (P3, DiscreteInstance(n=7, gaps=(3, 2, 2)),
+                 DiscreteInstance(n=6, gaps=(3, 2, 1))):
+        for mask in range(1 << inst.n):
+            for black in (None, *range(inst.n)):
+                c = Colouring(inst.n, mask, black=black)
+                assert detect_dp(c, inst) == detect_bruteforce(c, inst), (inst, c)
 
 
 def test_count_all_red():
@@ -259,17 +265,45 @@ def test_streaming_path_matches_cached(monkeypatch):
 
 
 def test_find_copy_in_class_matches_detector():
+    # the class query against the test-only depth-first search, and against
+    # brute force whenever the least monochromatic copy is red
     inst = discretize(power_tuple(3))
     rng = random.Random(4)
     for _ in range(60):
         c = Colouring.random(7, rng)
         red_found = find_copy_in_class(c.red_mask, 7, inst.gaps)
-        assert (red_found is not None) == has_copy_in_class_dp(c.red_mask, inst)
+        assert red_found == dfs_copy_in_class(c.red_mask, 7, inst.gaps)
+        w = detect_bruteforce(c, inst)
+        if w is not None and w.colour == "Red":
+            assert red_found == (w.vertices, w.gap_order)
         if red_found is not None:
             vertices, order = red_found
             assert all(c.is_red(v) for v in vertices)
             assert sorted(order) == sorted(inst.gaps)
             assert vertices[0] == min(vertices)
+
+
+def test_dp_matches_bruteforce_on_repeated_and_colliding_gaps():
+    rng = random.Random(2025)
+    repeated = colliding = black_used = 0
+    for _ in range(600):
+        k = rng.randint(3, 5)
+        gaps = tuple(rng.randint(1, 6) for _ in range(k))
+        inst = DiscreteInstance(n=sum(gaps), gaps=gaps)
+        sums = [sum(g for i, g in enumerate(gaps) if bits >> i & 1)
+                for bits in range(1 << k)]
+        repeated += len(set(gaps)) < k
+        colliding += len(set(sums)) < len(sums)
+        black = rng.randrange(inst.n) if rng.random() < 0.5 else None
+        black_used += black is not None
+        c = Colouring(inst.n, rng.getrandbits(inst.n), black=black)
+        w = detect_dp(c, inst)
+        assert w == detect_bruteforce(c, inst), (gaps, c)
+        red = c.class_mask("R")
+        assert find_copy_in_class(red, inst.n, gaps) == dfs_copy_in_class(red, inst.n, gaps)
+        if w is not None:
+            assert w.revalidates(c, inst)
+    assert min(repeated, colliding, black_used) > 100
 
 
 def test_dimension_mismatch_rejected():

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from ramsey_circle.core import DiscreteInstance
+from ramsey_circle.detector import count_copies
 from ramsey_circle.majority import (MajorityParams, interval_lengths,
                                     majority_colouring, majority_verify,
                                     red_copy_exists_dp)
@@ -74,8 +76,11 @@ def test_verify_small_grid_no_red_copy():
     assert verdict.no_red_copy
     assert verdict.grid == 1008
     assert verdict.witness is None
-    # independent route: subset-sum DP on the same grid
     assert red_copy_exists_dp(params) is False
+    # independent route: brute-force count of red copies on the same grid
+    c = majority_colouring(params, 1008)
+    gaps = tuple(2**(5 - i) * 16 for i in range(6))
+    assert count_copies(c, DiscreteInstance(n=1008, gaps=gaps))[0] == 0
 
 
 def test_verify_three_eps_values():

@@ -118,8 +118,8 @@ def test_residue_check_agrees_with_detector(k):
 
 
 def test_uniform_search_with_repeated_gaps_matches_full_detector():
-    # the repeated-gap path restricts starts to one colour period; the
-    # unrestricted brute-force detector is the oracle
+    # repeated gaps go through the same kernel as distinct ones; the
+    # brute-force detector is the oracle
     from ramsey_circle.detector import detect_bruteforce
     from ramsey_circle.uniform import _uniform_discretization
     tuples = [DistanceTuple((F(1, 3), F(1, 3), F(1, 3))),
