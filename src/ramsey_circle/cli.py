@@ -4,22 +4,29 @@ Exit codes are part of the interface and shared by all subcommands:
 
   0  success: verified, witness found as expected, or all batch items pass
   1  valid negative verdict (no witness / violation found / sweep exhausted)
-  2  usage, input or pipeline error
+  2  usage, input or pipeline error, or internal error (an unexpected
+     exception, reported on stderr without a traceback)
   3  refutation: a computation contradicted a published result
   4  unknown (solver timeout)
 
 ``--json`` switches to a stable machine-readable output (schema version 1,
 sorted keys, no timestamps); the human format is never parsed by tests.
+
+``batch`` runs each sweep item in-process through ``dispatch``, with its
+output discarded, in up to ``--parallel`` worker processes (capped at the
+item count and the CPU count); the report keeps spec order.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import io
+import itertools
 import json
 import os
 import shlex
-import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -370,24 +377,21 @@ def _parse_sweep(path: Path) -> list[tuple[int, list[str]]]:
 def _run_sweep_item(argv: list[str], spec_dir: Path) -> int:
     resolved = [str(spec_dir / arg[2:]) if arg.startswith("@/") else arg
                 for arg in argv]
-    env = dict(os.environ)
-    pkg_parent = str(Path(__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = pkg_parent + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-m", "ramsey_circle", *resolved],
-                          capture_output=True, env=env)
-    return proc.returncode
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        return dispatch(resolved)
 
 
 def _cmd_batch(cfg: RunConfig, args) -> int:
     spec_path = Path(args.spec)
     items = _parse_sweep(spec_path)
     spec_dir = spec_path.resolve().parent
-    results: list[Optional[int]] = [None] * len(items)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, cfg.parallelism)) as pool:
-        futures = {pool.submit(_run_sweep_item, argv, spec_dir): i
-                   for i, (_, argv) in enumerate(items)}
-        for future in concurrent.futures.as_completed(futures):
-            results[futures[future]] = future.result()
+    # Worker processes, not threads: stdout redirection is process-global.
+    # A fork pool starts all its workers up front, hence the caps.
+    workers = max(1, min(cfg.parallelism, len(items), os.cpu_count() or 1))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(_run_sweep_item, [argv for _, argv in items],
+                                itertools.repeat(spec_dir)))
     report_items = []
     passed = 0
     saw_error = False
@@ -416,14 +420,22 @@ def _cmd_batch(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramsey-circle",
         description="Exact verification toolkit for Ramsey distance tuples "
                     "on the unit circle.")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--parallel", type=int, default=1,
-                        help="worker count for batch runs")
+    parser.add_argument("--parallel", type=_positive_int, default=1,
+                        help="batch worker processes (at least 1; capped at the "
+                             "item count and the CPU count)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="search a colouring for a monochromatic copy")
@@ -525,6 +537,10 @@ def dispatch(argv: Sequence[str]) -> int:
     except (ParseError, ValueError, OSError, satgen.SolverError,
             beatty.PartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # an unexpected exception must never read as a verdict (exit 1 is one)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -163,6 +163,15 @@ def default_solver_command() -> str:
     return f"{shlex.quote(sys.executable)} -m ramsey_circle.dimacs_solver"
 
 
+def _solver_env() -> dict[str, str]:
+    """The caller's environment with this package's parent directory first on
+    PYTHONPATH, so the bundled solver starts whatever the caller's own path."""
+    env = dict(os.environ)
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (pkg_parent, env.get("PYTHONPATH"))))
+    return env
+
+
 def _parse_solver_output(stdout: str, returncode: int, stderr: str,
                          ) -> tuple[str, Optional[dict[int, bool]]]:
     status = None
@@ -210,7 +219,7 @@ def solve_external(f: CnfFormula, solver_command: Union[str, Sequence[str], None
             fh.write(dimacs_write(f))
         try:
             proc = subprocess.run(argv + [path], capture_output=True, text=True,
-                                  timeout=timeout)
+                                  timeout=timeout, env=_solver_env())
         except FileNotFoundError:
             raise SolverNotFoundError(f"solver command not found: {argv[0]!r}") from None
         except subprocess.TimeoutExpired:

@@ -208,10 +208,11 @@ def residue_check(k: int, t: int) -> Optional[ResidueWitness]:
     if order_values is None:
         return None
     jump_order = _indices_for_value_order(signed, order_values)
+    jumps, m = inst.jumps, inst.m   # properties: each read rebuilds the residues
     positions = []
     pos = 0
     for i in jump_order:
-        pos = (pos + inst.jumps[i]) % inst.m
+        pos = (pos + jumps[i]) % m
         positions.append(pos)
     return ResidueWitness(start_residue=0, jump_order=jump_order,
                           positions=tuple(positions), instance=inst)

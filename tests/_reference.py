@@ -1,6 +1,12 @@
-"""Test-only reference routes, kept independent of the detector's kernel."""
+"""Test-only reference routes, kept independent of the code they check."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional, Sequence
+
+import ramsey_circle
 
 
 def dfs_copy_in_class(class_mask: int, n: int, gaps: Sequence[int],
@@ -48,3 +54,17 @@ def dfs_copy_in_class(class_mask: int, n: int, gaps: Sequence[int],
             return (tuple(vertices[shift:] + vertices[:shift]),
                     order[shift:] + order[:shift])
     return None
+
+
+def run_sweep_item_in_subprocess(argv: Sequence[str], spec_dir: Path) -> int:
+    """Exit code of one sweep item run as `python -m ramsey_circle` in a fresh
+    interpreter, its `@/` paths resolved against spec_dir; a route to the
+    batch verdicts that shares no state with the in-process runner."""
+    resolved = [str(spec_dir / arg[2:]) if arg.startswith("@/") else arg
+                for arg in argv]
+    env = dict(os.environ)
+    pkg_parent = str(Path(ramsey_circle.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = pkg_parent + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "ramsey_circle", *resolved],
+                          capture_output=True, env=env, timeout=300)
+    return proc.returncode

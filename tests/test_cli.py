@@ -1,10 +1,13 @@
 """CLI dispatch, exit codes, JSON stability, and the batch runner."""
 
+import concurrent.futures
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from _reference import run_sweep_item_in_subprocess
 from ramsey_circle.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK,
                                EXIT_REFUTATION, dispatch)
 
@@ -81,6 +84,16 @@ def test_missing_file_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error():
     assert dispatch(["check", "--nope"]) == EXIT_ERROR
+
+
+def test_unexpected_exception_is_internal_error(capsys):
+    # [0] * M raises MemoryError at once for this M: a crash, not a verdict
+    code = dispatch(["beatty-check", "--alphas", "2,3,6", "--half",
+                     "--limit", "3000000000000000000"])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("internal error: MemoryError")
+    assert "Traceback" not in err
 
 
 def test_uniform_check(capsys):
@@ -280,6 +293,7 @@ def test_batch_report_identical_across_worker_counts(tmp_path):
         "0 --json check --input @/c.txt --gaps 4,2,1",
         "1 --json check --input @/c.txt --gaps 4,2,1 --count # counts exist: exit 0",
         "0 --json balanced-check --period a,b,a,c,a,b,a",
+        "2 --json beatty-check --alphas 2,3,6 --half --limit 3000000000000000000",
         "0 --json doubling --k 3 --t 1",
     ])
     reports = {}
@@ -289,6 +303,66 @@ def test_batch_report_identical_across_worker_counts(tmp_path):
                   "--report", str(report)])
         reports[workers] = report.read_bytes()
     assert reports[1] == reports[4]
+    actual = [item["actual"] for item in json.loads(reports[1])["items"]]
+    assert actual == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_ERROR, EXIT_OK]
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the requested worker count
+    and runs the items in this process, so no real pool is started."""
+
+    def __init__(self, recorded, max_workers):
+        recorded.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    recorded = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: InlinePool(recorded, max_workers))
+    return recorded
+
+
+def test_batch_pool_capped_at_items_and_cpus(tmp_path, pool_sizes, monkeypatch):
+    spec = write_spec(tmp_path, ["0 --json balanced-check --period a,b,a,c,a,b,a",
+                                 "1 --json balanced-check --period a,a,b,b"])
+    report = tmp_path / "report.json"
+    argv = ["--parallel", "1000000", "batch", str(spec), "--report", str(report)]
+    cpus = os.cpu_count() or 1
+    assert dispatch(argv) == EXIT_OK
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert dispatch(argv) == EXIT_OK
+    assert pool_sizes == [min(2, cpus), 1]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "many"])
+def test_parallel_must_be_a_positive_integer(tmp_path, pool_sizes, value):
+    spec = write_spec(tmp_path, ["0 --json balanced-check --period a,b,a,c,a,b,a"])
+    assert dispatch(["--parallel", value, "batch", str(spec)]) == EXIT_ERROR
+    assert pool_sizes == []
+
+
+def test_batch_verdicts_match_one_interpreter_per_item(tmp_path):
+    spec = SWEEP_DIR / "acceptance.sweep"
+    report = tmp_path / "report.json"
+    dispatch(["--parallel", "2", "batch", str(spec), "--report", str(report)])
+    items = json.loads(report.read_text(encoding="utf-8"))["items"]
+    # the reference items are subprocesses, so threads overlap them
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        reference = list(pool.map(
+            lambda item: run_sweep_item_in_subprocess(item["argv"], SWEEP_DIR), items))
+    assert len(items) == len(reference) >= 20
+    for item, code in zip(items, reference):
+        assert item["actual"] == code, item["argv"]
 
 
 def test_shipped_sweep_parses():

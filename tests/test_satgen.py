@@ -1,5 +1,6 @@
 """CNF generation, DIMACS round-trips, and the external-solver pipeline."""
 
+import os
 import random
 import stat
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ramsey_circle
 from ramsey_circle.core import Colouring, ParseError, discretize, power_tuple
 from ramsey_circle.detector import detect_bruteforce
 from ramsey_circle.dimacs_solver import Solver, parse_dimacs
@@ -222,3 +224,18 @@ def test_reference_solver_cli_roundtrip(tmp_path):
 def test_parse_dimacs_in_solver_module():
     nv, clauses = parse_dimacs("c x\np cnf 3 2\n1 -2 0\n3 0\n")
     assert nv == 3 and clauses == [[1, -2], [3]]
+
+
+def test_bundled_solver_starts_without_package_on_pythonpath(tmp_path):
+    # the package reaches the caller only through sys.path, never PYTHONPATH:
+    # the solver child must still find it
+    src = str(Path(ramsey_circle.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONPATH", "RAMSEY_SAT_SOLVER")}
+    script = (f"import sys; sys.path.insert(0, {src!r})\n"
+              "from ramsey_circle.satgen import verify_unavoidable\n"
+              "print(verify_unavoidable(3).status)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "UNSAT"
