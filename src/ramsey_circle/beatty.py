@@ -7,10 +7,13 @@ When they do, reading off which sequence owns each integer yields a word
 over {1, ..., k} that is balanced: equal-length windows contain each letter
 a number of times differing by at most one.
 
-Both notions concern infinite objects; every checker here works on a
-bounded prefix [0, M) and says so.  When all alphas are rational with
-common numerator p the word is p-periodic and a prefix of 2p already gives
-an exact global verdict, which `fraenkel_diagnostics` reports.
+Both notions concern infinite objects.  Every alpha is a Fraction, so with
+p the common numerator of the alphas the owners of v and v + p agree once v
+is past the sequences' starts (see `partition_check`): the verdict on any
+range [0, M) is read from the exact prefix [0, min(M, V0 + p)), whatever M
+is, and the owner word is that prefix extended by its last period.  A
+periodic word is balanced exactly when each letter passes a range test over
+one period (see `balanced_check`).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .core import power_tuple
@@ -113,56 +117,78 @@ class PartitionError(ValueError):
         super().__init__(msg)
 
 
-def _mark_owners(pair: BeattyPair, M: int) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Owner (1-based sequence index, 0 = none) per value in [0, M), plus
-    any collisions as (value, earlier_owner, later_owner)."""
-    owners = [0] * M
+def _mark_prefix(pair: BeattyPair, M: int) -> tuple[list[int], PartitionVerdict]:
+    """Owners (1-based, 0 = none) of the exact prefix [0, min(M, V0 + p))
+    and the partition verdict on [0, M); see `partition_check`."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    v0 = max(0, max(math.floor(b) for b in pair.betas) + 1)
+    L = min(M, v0 + pair.common_numerator())
+    owners = [0] * L
     collisions = []
     for i, (alpha, beta) in enumerate(zip(pair.alphas, pair.betas), start=1):
         a = alpha.numerator * beta.denominator
         b = beta.numerator * alpha.denominator
         den = alpha.denominator * beta.denominator
-        n = 0
-        while True:
+        # n runs over the terms with 0 <= (a n + b) // den < L, in order
+        for n in range(max(0, -(b // a)), -((b - L * den) // a)):
             value = (a * n + b) // den
-            if value >= M:
-                break
-            if value >= 0:
-                if owners[value]:
-                    collisions.append((value, owners[value], i))
-                else:
-                    owners[value] = i
-            n += 1
-    return owners, collisions
+            if owners[value]:
+                collisions.append((value, owners[value], i))
+            else:
+                owners[value] = i
+    if collisions:
+        value, i, j = min(collisions)
+        return owners, PartitionVerdict(kind="collision", value=value, sequences=(i, j))
+    if 0 in owners:
+        return owners, PartitionVerdict(kind="gap", value=owners.index(0))
+    return owners, PartitionVerdict(kind="ok")
 
 
 def partition_check(pair: BeattyPair, M: int) -> PartitionVerdict:
-    """Check the sequences hit every integer in [0, M) exactly once."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    owners, collisions = _mark_owners(pair, M)
-    if collisions:
-        value, i, j = min(collisions)
-        return PartitionVerdict(kind="collision", value=value, sequences=(i, j))
-    for value, owner in enumerate(owners):
-        if not owner:
-            return PartitionVerdict(kind="gap", value=value)
-    return PartitionVerdict(kind="ok")
+    """Check the sequences hit every integer in [0, M) exactly once.
+
+    Only the prefix [0, L), L = min(M, V0 + p), is marked.  Here
+    alpha_i = a_i / b_i in lowest terms, p = lcm(a_i) and
+    V0 = max(0, max_i floor(beta_i) + 1).  Proof that the least collision
+    and the least gap in [0, M) both lie below L:
+
+    - d_i = p b_i / a_i is an integer, and n -> n + d_i adds exactly p to
+      alpha_i n + beta_i, so it maps the terms of sequence i equal to v
+      onto those equal to v + p.
+    - For v >= V0 this map is onto: a term n' < d_i has value at most
+      floor(alpha_i d_i + beta_i) = floor(beta_i) + p < V0 + p.  So every
+      preimage of v + p is n + d_i for a preimage n >= 0 of v.
+    - Hence from V0 on each value's list of owners, with multiplicity and
+      in marking order (sequence, then n), is p-periodic.  That covers the
+      self-collisions (i, i) of alphas below 1 too.
+    - A collision or gap at v >= V0 + p repeats at v - p >= V0, so the
+      least one in [0, M) lies below V0 + p.  Values below L are marked in
+      full, so the earliest pair of owners reported is the same as when
+      marking all of [0, M).
+
+    Collisions are reported in preference to gaps, as `PartitionVerdict`
+    says; the cost is O(L) whatever M is.
+    """
+    return _mark_prefix(pair, M)[1]
 
 
 def word_from_pair(pair: BeattyPair, M: int) -> tuple[int, ...]:
     """The owner word s_0 ... s_{M-1}; raises PartitionError when the pair
-    does not partition [0, M)."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    owners, collisions = _mark_owners(pair, M)
-    if collisions:
-        value, i, j = min(collisions)
-        raise PartitionError(PartitionVerdict(kind="collision", value=value, sequences=(i, j)))
-    for value, owner in enumerate(owners):
-        if not owner:
-            raise PartitionError(PartitionVerdict(kind="gap", value=value))
-    return tuple(owners)
+    does not partition [0, M).
+
+    The exact prefix [0, L) of `partition_check` is marked.  When M > L,
+    L = V0 + p and the owners are p-periodic from V0 = L - p on, so the
+    word continues with repeats of owners[L - p:L] up to length M.
+    """
+    owners, verdict = _mark_prefix(pair, M)
+    if not verdict.ok:
+        raise PartitionError(verdict)
+    L = len(owners)
+    if L < M:
+        p = pair.common_numerator()
+        owners += owners[L - p:] * -((L - M) // p)
+    return tuple(owners[:M])
 
 
 @dataclass(frozen=True)
@@ -196,13 +222,37 @@ class BalanceVerdict:
     positions: Optional[tuple[int, int]] = None
 
 
+def _is_mechanical(w: BalancedWord) -> bool:
+    """Range test per letter: with q occurrences of letter a per period p
+    and f(j) = p * #a(s_0 ... s_{j-1}) - q * j, need max f - min f < p."""
+    p = w.period_length
+    for a in range(1, w.k + 1):
+        q = w.period.count(a)
+        f = list(accumulate(((p if s == a else 0) - q for s in w.period), initial=0))
+        if max(f) - min(f) >= p:
+            return False
+    return True
+
+
 def balanced_check(w: BalancedWord) -> BalanceVerdict:
     """Check the balance condition on the periodic word.
 
-    By periodicity it suffices to compare the windows of each length
+    A periodic word is balanced exactly when it is mechanical (Lothaire,
+    Algebraic Combinatorics on Words, ch. 2; Altman, Gaujal and Hordijk,
+    JACM 2000), which one pass per letter decides.  With f as in
+    `_is_mechanical`, f is p-periodic and p times the count of letter a in
+    the window of length l at s is f(s + l) - f(s) + q l.  Those counts
+    average q l / p over the starts, so they take at most two adjacent
+    values exactly when they all lie in {floor(q l / p), ceil(q l / p)},
+    that is when every difference f(x) - f(y) is below p in absolute value.
+
+    Only a word that fails the test is searched for a witness: by
+    periodicity it suffices to compare the windows of each length
     l in [1, p] whose start lies in [0, p); the first violating
     (length, letter) is reported with a maximal and a minimal window start.
     """
+    if _is_mechanical(w):
+        return BalanceVerdict(balanced=True)
     p = w.period_length
     ext = w.period + w.period
     prefixes = {}
@@ -220,7 +270,7 @@ def balanced_check(w: BalancedWord) -> BalanceVerdict:
             if hi - lo > 1:
                 return BalanceVerdict(balanced=False, letter=a, window_length=length,
                                       positions=(counts.index(hi), counts.index(lo)))
-    return BalanceVerdict(balanced=True)
+    raise AssertionError("range test and window search disagree")
 
 
 def densities(w: BalancedWord) -> tuple[Fraction, ...]:
@@ -256,7 +306,11 @@ def fraenkel_diagnostics(pair: BeattyPair, M: int) -> FraenkelReport:
     """Verify the period structure of a half-shifted partitioning pair.
 
     Needs beta_i = alpha_i / 2 and M >= 2p where p is the common numerator
-    of the alphas; partition failures propagate as PartitionError.
+    of the alphas; partition failures propagate as PartitionError.  The
+    report on [0, M) is read from the prefix [0, 2p): each alpha_i is at
+    most its numerator, hence at most p, so V0 <= floor(p / 2) + 1 <= p.
+    The word is p-periodic from V0 on (see `partition_check`), so
+    s_j = s_(j mod p) for all j < M once it holds for j < V0 + p <= 2p.
     """
     if not pair.is_half_shift():
         raise ValueError("diagnostics require betas = alphas / 2")
@@ -265,11 +319,11 @@ def fraenkel_diagnostics(pair: BeattyPair, M: int) -> FraenkelReport:
     p = pair.common_numerator()
     if M < 2 * p:
         raise ValueError(f"M={M} too small: need at least 2p = {2 * p}")
-    word = word_from_pair(pair, M)
+    word = word_from_pair(pair, 2 * p)
     period = word[:p]
-    periodic = all(word[j] == word[j % p] for j in range(M))
+    periodic = all(word[j] == word[j % p] for j in range(2 * p))
     symmetric = period == period[::-1]
-    consecutive = tuple(_consecutive_condition(word[:2 * p], a)
+    consecutive = tuple(_consecutive_condition(word, a)
                         for a in range(1, pair.k + 1))
     dens = densities(BalancedWord(period)) if set(period) == set(range(1, pair.k + 1)) \
         else tuple(Fraction(sum(1 for s in period if s == a), p) for a in range(1, pair.k + 1))

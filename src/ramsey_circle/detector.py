@@ -257,9 +257,3 @@ def count_copies(c: Colouring, inst: DiscreteInstance) -> tuple[int, int]:
         elif mask & blue_mask == mask:
             blue += 1
     return red, blue
-
-
-def total_copies(inst: DiscreteInstance) -> int:
-    """Number of distinct permuted copies: n (k-1)! for distinct gaps."""
-    return sum(1 for _ in _iter_copies(inst.n, tuple(inst.gaps)))
-

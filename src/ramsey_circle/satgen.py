@@ -29,8 +29,9 @@ from .core import Colouring, ParseError, discretize, power_tuple
 from .detector import detect_bruteforce
 
 MIN_K = 3
-# (k-1)! 2^k clauses grow fast; past 16 the file alone is unreasonable.
-MAX_K = 16
+# 2 (2^k - 1) (k-1)! clauses: k = 8 has 2.6 M and takes about 1 GB and
+# 18 s to generate and write; k = 9 has 41 M, sixteen times as many.
+MAX_K = 8
 
 GENERATOR_NAME = "ramsey-circle cnf generator"
 

@@ -134,19 +134,6 @@ class ResidueWitness:
     positions: tuple[int, ...]    # residue after each jump, mod m
     instance: ResidueInstance
 
-    @property
-    def added_jumps(self) -> tuple[int, ...]:
-        return tuple(self.instance.jumps[i] for i in self.jump_order)
-
-    @property
-    def subset_chain(self) -> tuple[frozenset, ...]:
-        chain = []
-        used: set[int] = set()
-        for i in self.jump_order:
-            used.add(i)
-            chain.append(frozenset(used))
-        return tuple(chain)
-
 
 @lru_cache(maxsize=65536)
 def window_order(sorted_values: tuple[int, ...], window: int) -> Optional[tuple[int, ...]]:

@@ -3,10 +3,14 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 import ramsey_circle
+from ramsey_circle.beatty import (BalanceVerdict, BeattyPair, FraenkelReport,
+                                  PartitionError, PartitionVerdict)
+from ramsey_circle.core import power_tuple
 
 
 def dfs_copy_in_class(class_mask: int, n: int, gaps: Sequence[int],
@@ -68,3 +72,94 @@ def run_sweep_item_in_subprocess(argv: Sequence[str], spec_dir: Path) -> int:
     proc = subprocess.run([sys.executable, "-m", "ramsey_circle", *resolved],
                           capture_output=True, env=env, timeout=300)
     return proc.returncode
+
+
+def mark_owners(pair: BeattyPair, M: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Owner (1-based sequence index, 0 = none) per value in [0, M), plus
+    any collisions as (value, earlier_owner, later_owner); marks every term
+    below M, with no use of periodicity."""
+    owners = [0] * M
+    collisions = []
+    for i, (alpha, beta) in enumerate(zip(pair.alphas, pair.betas), start=1):
+        a = alpha.numerator * beta.denominator
+        b = beta.numerator * alpha.denominator
+        den = alpha.denominator * beta.denominator
+        n = 0
+        while True:
+            value = (a * n + b) // den
+            if value >= M:
+                break
+            if value >= 0:
+                if owners[value]:
+                    collisions.append((value, owners[value], i))
+                else:
+                    owners[value] = i
+            n += 1
+    return owners, collisions
+
+
+def partition_verdict(pair: BeattyPair, M: int) -> PartitionVerdict:
+    """The partition verdict on [0, M) read off the full O(M) marking."""
+    owners, collisions = mark_owners(pair, M)
+    if collisions:
+        value, i, j = min(collisions)
+        return PartitionVerdict(kind="collision", value=value, sequences=(i, j))
+    for value, owner in enumerate(owners):
+        if not owner:
+            return PartitionVerdict(kind="gap", value=value)
+    return PartitionVerdict(kind="ok")
+
+
+def owner_word(pair: BeattyPair, M: int) -> tuple[int, ...]:
+    """The owner word of [0, M) from the full marking; PartitionError when
+    the pair does not partition [0, M)."""
+    verdict = partition_verdict(pair, M)
+    if not verdict.ok:
+        raise PartitionError(verdict)
+    return tuple(mark_owners(pair, M)[0])
+
+
+def fraenkel_report(pair: BeattyPair, M: int) -> FraenkelReport:
+    """The diagnostics of a half-shifted pair (strictly increasing alphas,
+    M >= 2p) computed on the whole owner word of [0, M)."""
+    p = pair.common_numerator()
+    word = owner_word(pair, M)
+    period = word[:p]
+
+    def consecutive(letter):
+        at = [j for j in range(2 * p) if word[j] == letter]
+        return any(max(word[a + 1:b], default=0) <= letter for a, b in zip(at, at[1:]))
+
+    dens = tuple(Fraction(period.count(a), p) for a in range(1, pair.k + 1))
+    return FraenkelReport(period_length=p, period=period,
+                          exact=all(word[j] == word[j % p] for j in range(M)),
+                          symmetric=period == period[::-1],
+                          consecutive_ok=tuple(consecutive(a) for a in range(1, pair.k + 1)),
+                          densities=dens,
+                          power_flag=pair.k >= 3 and dens == power_tuple(pair.k).distances)
+
+
+def window_balance(period: Sequence[int]) -> BalanceVerdict:
+    """Quadratic balance check of a periodic word over {1, ..., k}: compare
+    the windows of each length l in [1, p] starting in [0, p), and report
+    the first violating (length, letter) with a maximal and a minimal
+    window start."""
+    p = len(period)
+    k = max(period)
+    ext = tuple(period) * 2
+    prefixes = {}
+    for a in range(1, k + 1):
+        pref = [0] * (2 * p + 1)
+        for j, s in enumerate(ext):
+            pref[j + 1] = pref[j] + (s == a)
+        prefixes[a] = pref
+    for length in range(1, p + 1):
+        for a in range(1, k + 1):
+            pref = prefixes[a]
+            counts = [pref[s + length] - pref[s] for s in range(p)]
+            hi = max(counts)
+            lo = min(counts)
+            if hi - lo > 1:
+                return BalanceVerdict(balanced=False, letter=a, window_length=length,
+                                      positions=(counts.index(hi), counts.index(lo)))
+    return BalanceVerdict(balanced=True)

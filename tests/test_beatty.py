@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from _reference import (fraenkel_report, owner_word, partition_verdict,
+                        window_balance)
 from ramsey_circle.beatty import (BalancedWord, BeattyPair, PartitionError,
-                                  balanced_check, beatty_term, densities,
-                                  fraenkel_diagnostics, partition_check,
-                                  power_pair, word_from_pair)
+                                  PartitionVerdict, balanced_check, beatty_term,
+                                  densities, fraenkel_diagnostics,
+                                  partition_check, power_pair, word_from_pair)
 from ramsey_circle.core import power_tuple
 
 
@@ -201,3 +203,126 @@ def test_word_density_consistency_on_random_partitioning_pairs():
     for letter, alpha in zip((1, 2), pair.alphas):
         freq = F(sum(1 for s in word if s == letter), len(word))
         assert freq == 1 / alpha
+
+
+def outcome(f, pair, M):
+    """A result, or the verdict of the PartitionError it raised."""
+    try:
+        return f(pair, M)
+    except PartitionError as exc:
+        return ("PartitionError", exc.verdict)
+
+
+def shifted_partition(alphas, betas, c):
+    """The partition of the naturals left by dropping the values below c of a
+    partitioning pair and shifting the rest down by c: betas move to
+    beta_i + alpha_i t_i - c, with t_i terms of sequence i below c."""
+    new_betas = []
+    for a, b in zip(alphas, betas):
+        t = 0
+        while (a * t + b).__floor__() < c:
+            t += 1
+        new_betas.append(b + a * t - c)
+    return BeattyPair(alphas, tuple(new_betas))
+
+
+def periodic_start(pair):
+    return max(0, max(b.__floor__() for b in pair.betas) + 1)
+
+
+def test_exact_prefix_matches_full_marking():
+    rng = random.Random(41)
+    bases = [power_pair(k) for k in range(1, 6)]
+    bases += [BeattyPair((F(2), F(2)), (F(1), F(0))),
+              BeattyPair((F(3),) * 3, (F(2), F(0), F(1))),
+              BeattyPair((F(5, 2), F(5, 2), F(5)), (F(0), F(5, 4), F(5, 2)))]
+    seen = {"ok": 0, "collision": 0, "gap": 0, "below": 0, "above": 0,
+            "negative": 0, "equal": 0, "small": 0}
+    for _ in range(3000):
+        roll = rng.random()
+        if roll < 0.4:
+            base = rng.choice(bases)
+            pair = shifted_partition(base.alphas, base.betas, rng.randint(0, 40))
+            if rng.random() < 0.25:
+                i = rng.randrange(pair.k)
+                betas = list(pair.betas)
+                betas[i] += F(rng.randint(-3, 3), rng.randint(2, 9))
+                pair = BeattyPair(pair.alphas, tuple(betas))
+        else:
+            k = rng.randint(1, 4)
+            alphas = sorted(F(rng.randint(1, 16), rng.randint(1, 6)) for _ in range(k))
+            if k > 1 and rng.random() < 0.3:
+                alphas[1] = alphas[0]
+            if roll < 0.6:
+                pair = BeattyPair.half_shift(alphas)
+            else:
+                pair = BeattyPair(alphas, tuple(F(rng.randint(-30, 30), rng.randint(1, 6))
+                                                for _ in range(k)))
+        M = rng.randint(1, 400)
+        expected = partition_verdict(pair, M)
+        assert partition_check(pair, M) == expected, (pair, M)
+        assert outcome(word_from_pair, pair, M) == outcome(owner_word, pair, M), (pair, M)
+        seen[expected.kind] += 1
+        bound = periodic_start(pair) + pair.common_numerator()
+        seen["below" if M < bound else "above"] += 1
+        seen["negative"] += any(b < 0 for b in pair.betas)
+        seen["equal"] += len(set(pair.alphas)) < pair.k
+        seen["small"] += pair.alphas[0] < 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_fraenkel_diagnostics_matches_full_word():
+    rng = random.Random(43)
+    pairs = [power_pair(k) for k in range(2, 6)]
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        alphas = sorted({F(rng.randint(1, 16), rng.randint(1, 6)) for _ in range(k)})
+        pairs.append(BeattyPair.half_shift(alphas))
+    compared = 0
+    for pair in pairs:
+        p = pair.common_numerator()
+        if p > 100:
+            continue
+        for M in {2 * p, 2 * p + rng.randint(0, 3 * p), periodic_start(pair) + p + 7}:
+            if M >= 2 * p:
+                assert (outcome(fraenkel_diagnostics, pair, M)
+                        == outcome(fraenkel_report, pair, M)), (pair, M)
+                compared += 1
+    assert compared >= 300
+
+
+def test_partition_verdict_does_not_depend_on_a_huge_limit():
+    M = 3 * 10**18
+    assert partition_check(power_pair(3), M).ok
+    verdict = partition_check(BeattyPair.half_shift((F(2), F(3), F(6))), M)
+    assert (verdict.kind, verdict.value, verdict.sequences) == ("collision", 1, (1, 2))
+    # terms n = 3 * 10^12, +1, +2 all hit 0; the terms before them are skipped
+    slow = BeattyPair((F(1, 3),), (F(-10**12),))
+    assert partition_check(slow, M) == PartitionVerdict("collision", 0, (1, 1))
+    report = fraenkel_diagnostics(power_pair(3), M)
+    assert report.exact and report == fraenkel_report(power_pair(3), 100)
+
+
+def test_balanced_check_matches_window_search():
+    rng = random.Random(47)
+    unbalanced = 0
+    for _ in range(3000):
+        p = rng.randint(1, 14)
+        period = [rng.randint(1, 3) for _ in range(p)]
+        relabel = {x: i + 1 for i, x in enumerate(sorted(set(period)))}
+        period = tuple(relabel[x] for x in period)
+        expected = window_balance(period)
+        assert balanced_check(BalancedWord(period)) == expected, period
+        unbalanced += not expected.balanced
+    assert 300 <= unbalanced <= 2700
+
+
+def test_power_word_k10_matches_full_marking():
+    pair = power_pair(10)
+    p = pair.common_numerator()
+    M = 3 * p + 5
+    word = word_from_pair(pair, M)
+    assert word == owner_word(pair, M)
+    assert partition_check(pair, M) == partition_verdict(pair, M)
+    assert fraenkel_diagnostics(pair, M) == fraenkel_report(pair, M)
+    assert balanced_check(BalancedWord(word[:p])) == window_balance(word[:p])

@@ -86,10 +86,12 @@ def test_unknown_flag_is_usage_error():
     assert dispatch(["check", "--nope"]) == EXIT_ERROR
 
 
-def test_unexpected_exception_is_internal_error(capsys):
-    # [0] * M raises MemoryError at once for this M: a crash, not a verdict
-    code = dispatch(["beatty-check", "--alphas", "2,3,6", "--half",
-                     "--limit", "3000000000000000000"])
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def crash(pair, M):
+        raise MemoryError("simulated")
+
+    monkeypatch.setattr("ramsey_circle.beatty.partition_check", crash)
+    code = dispatch(["beatty-check", "--alphas", "2,3,6", "--half", "--limit", "100"])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert err.startswith("internal error: MemoryError")
@@ -293,7 +295,8 @@ def test_batch_report_identical_across_worker_counts(tmp_path):
         "0 --json check --input @/c.txt --gaps 4,2,1",
         "1 --json check --input @/c.txt --gaps 4,2,1 --count # counts exist: exit 0",
         "0 --json balanced-check --period a,b,a,c,a,b,a",
-        "2 --json beatty-check --alphas 2,3,6 --half --limit 3000000000000000000",
+        "1 --json beatty-check --alphas 2,3,6 --half --limit 3000000000000000000",
+        "2 --json beatty-check --alphas 3,2 --half --limit 10",
         "0 --json doubling --k 3 --t 1",
     ])
     reports = {}
@@ -304,7 +307,7 @@ def test_batch_report_identical_across_worker_counts(tmp_path):
         reports[workers] = report.read_bytes()
     assert reports[1] == reports[4]
     actual = [item["actual"] for item in json.loads(reports[1])["items"]]
-    assert actual == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_ERROR, EXIT_OK]
+    assert actual == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_NEGATIVE, EXIT_ERROR, EXIT_OK]
 
 
 class InlinePool:

@@ -9,7 +9,7 @@ from _reference import dfs_copy_in_class
 from ramsey_circle.core import Colouring, DiscreteInstance, discretize, power_tuple
 from ramsey_circle.detector import (CopyWitness, count_copies, cyclic_canonical,
                                     detect_bruteforce, detect_dp,
-                                    find_copy_in_class, total_copies)
+                                    find_copy_in_class)
 
 
 def oracle_copies(c: Colouring, inst: DiscreteInstance):
@@ -118,12 +118,13 @@ def test_count_rejects_duplicate_gaps_and_black():
 
 
 def test_total_copies_formula():
+    # every copy is red on the all-red colouring: n (k-1)! for distinct gaps
     for k in (3, 4, 5):
         inst = discretize(power_tuple(k))
         expected = (2**k - 1)
         for i in range(2, k):
             expected *= i
-        assert total_copies(inst) == expected
+        assert count_copies(Colouring.from_string("R" * inst.n), inst) == (expected, 0)
 
 
 @pytest.mark.parametrize("n,k,mult", [(7, 3, 1), (14, 3, 2), (15, 4, 1), (31, 5, 1)])

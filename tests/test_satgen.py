@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ramsey_circle
+from ramsey_circle.cli import EXIT_ERROR, dispatch
 from ramsey_circle.core import Colouring, ParseError, discretize, power_tuple
 from ramsey_circle.detector import detect_bruteforce
 from ramsey_circle.dimacs_solver import Solver, parse_dimacs
@@ -58,11 +59,16 @@ def test_each_copy_encoded_once():
         assert diffs == [1, 2, 4]
 
 
-def test_k_range_enforced():
-    with pytest.raises(ValueError):
-        cnf_generate(2)
-    with pytest.raises(ValueError):
-        cnf_generate(17)
+def test_k_range_enforced(capsys):
+    for k in (2, 9, 17):
+        with pytest.raises(ValueError):
+            cnf_generate(k)
+    # refused before any clause is built, not after minutes and gigabytes
+    for argv in (["cnf", "--k", "9", "--out", "-"], ["solve", "--k", "9"]):
+        assert dispatch(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: k must be in [3, 8], got 9")
 
 
 def test_dimacs_header():

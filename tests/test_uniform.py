@@ -84,10 +84,10 @@ def test_residue_instance_signed_values():
 def test_residue_check_k3_t1():
     w = residue_check(3, 1)
     assert w.start_residue == 0
-    assert w.added_jumps == (2, 4, 8)
+    assert tuple(w.instance.jumps[i] for i in w.jump_order) == (2, 4, 8)
     assert w.positions == (2, 6, 0)
     assert all(p < w.instance.window for p in w.positions)
-    chain = w.subset_chain
+    chain = [frozenset(w.jump_order[:j]) for j in range(1, len(w.jump_order) + 1)]
     assert [len(s) for s in chain] == [1, 2, 3]
     assert chain[0] < chain[1] < chain[2]
 
