@@ -177,19 +177,26 @@ def _cmd_beatty_check(cfg: RunConfig, args) -> int:
                "sequences": list(verdict.sequences) if verdict.sequences else None}
     if verdict.ok:
         human = [f"partition of [0, {args.limit}): ok"]
-        if args.half and pair.is_half_shift():
-            report = beatty.fraenkel_diagnostics(pair, max(args.limit, 2 * pair.common_numerator()))
-            payload["diagnostics"] = {
-                "period_length": report.period_length,
-                "symmetric": report.symmetric,
-                "consecutive_ok": list(report.consecutive_ok),
-                "densities": [str(x) for x in report.densities],
-                "power_flag": report.power_flag,
-                "exact": report.exact,
-            }
-            human.append(f"period length {report.period_length}, symmetric: {report.symmetric}, "
-                         f"densities {[str(x) for x in report.densities]}, "
-                         f"power: {report.power_flag}")
+        if args.half:
+            # Diagnostics read [0, 2p), which may reach past the limit: a
+            # failure there leaves the verdict on [0, limit) as it is.
+            try:
+                report = beatty.fraenkel_diagnostics(pair, max(args.limit, 2 * pair.common_numerator()))
+            except beatty.PartitionError as exc:
+                payload["diagnostics"] = None
+                human.append(f"no diagnostics: beyond [0, {args.limit}), {exc}")
+            else:
+                payload["diagnostics"] = {
+                    "period_length": report.period_length,
+                    "symmetric": report.symmetric,
+                    "consecutive_ok": list(report.consecutive_ok),
+                    "densities": [str(x) for x in report.densities],
+                    "power_flag": report.power_flag,
+                    "exact": report.exact,
+                }
+                human.append(f"period length {report.period_length}, symmetric: {report.symmetric}, "
+                             f"densities {[str(x) for x in report.densities]}, "
+                             f"power: {report.power_flag}")
         _emit(cfg, payload, human)
         return EXIT_OK
     if verdict.kind == "collision":

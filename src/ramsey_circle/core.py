@@ -214,10 +214,8 @@ class Colouring:
 
     def rotated(self, r: int) -> "Colouring":
         """Rotate counterclockwise: new vertex v has the colour of v - r."""
-        r %= self.n
-        mask = ((self.red_mask << r) | (self.red_mask >> (self.n - r))) & self.full_mask
         black = None if self.black is None else (self.black + r) % self.n
-        return Colouring(n=self.n, red_mask=mask, black=black)
+        return Colouring(n=self.n, red_mask=rotate_mask(self.red_mask, r, self.n), black=black)
 
     def swapped(self) -> "Colouring":
         return Colouring(n=self.n, red_mask=self.blue_mask, black=self.black)

@@ -119,6 +119,14 @@ def _walk_budget(n: int, gaps: tuple[int, ...]) -> int:
     return n * orders
 
 
+def _copies(n: int, gaps: tuple[int, ...]):
+    """Every copy in `_iter_copies` order: the cached table when its walk
+    count is within `_CACHE_WALK_LIMIT`, else a fresh stream."""
+    if _walk_budget(n, gaps) <= _CACHE_WALK_LIMIT:
+        return _copy_table(n, gaps)
+    return _iter_copies(n, gaps)
+
+
 def detect_bruteforce(c: Colouring, inst: DiscreteInstance,
                       restriction: Optional[Iterable[Sequence[int]]] = None,
                       ) -> Optional[CopyWitness]:
@@ -132,11 +140,7 @@ def detect_bruteforce(c: Colouring, inst: DiscreteInstance,
     rset = _normalize_restriction(restriction)
     red = c.class_mask("R")
     blue = c.class_mask("B")
-    if _walk_budget(inst.n, inst.gaps) <= _CACHE_WALK_LIMIT:
-        copies = _copy_table(inst.n, tuple(inst.gaps))
-    else:
-        copies = _iter_copies(inst.n, tuple(inst.gaps))
-    for v0, order, vertices, mask in copies:
+    for v0, order, vertices, mask in _copies(inst.n, tuple(inst.gaps)):
         if rset is not None and cyclic_canonical(order) not in rset:
             continue
         if mask & red == mask:
@@ -247,11 +251,7 @@ def count_copies(c: Colouring, inst: DiscreteInstance) -> tuple[int, int]:
     red_mask = c.red_mask
     blue_mask = c.blue_mask
     red = blue = 0
-    if _walk_budget(inst.n, inst.gaps) <= _CACHE_WALK_LIMIT:
-        copies = _copy_table(inst.n, tuple(inst.gaps))
-    else:
-        copies = _iter_copies(inst.n, tuple(inst.gaps))
-    for _, _, _, mask in copies:
+    for _, _, _, mask in _copies(inst.n, tuple(inst.gaps)):
         if mask & red_mask == mask:
             red += 1
         elif mask & blue_mask == mask:

@@ -3,10 +3,13 @@
 Usage: python -m ramsey_circle.dimacs_solver FILE.cnf
 
 Prints "s SATISFIABLE" with "v" model lines, or "s UNSATISFIABLE"; exit
-codes follow the competition convention (10 SAT, 20 UNSAT).  The solver is
-deliberately dependency-free and deterministic so it can act as the default
-external solver subprocess on machines where no real SAT solver is
-installed; swap in kissat/cadical/minisat via RAMSEY_SAT_SOLVER for speed.
+codes follow the competition convention (10 SAT, 20 UNSAT).  The input is
+read by the package's one DIMACS parser, `satgen.dimacs_read`; a missing or
+malformed file prints a single "error:" line to stderr, no "s" line, and
+exits 1.  The solver has no dependency outside the standard library and is
+deterministic, so it can act as the default external solver subprocess on
+machines where no real SAT solver is installed; swap in
+kissat/cadical/minisat via RAMSEY_SAT_SOLVER for speed.
 
 Implements the standard loop: two-watched-literal unit propagation, first
 unique implication point conflict analysis, activity-driven branching with
@@ -16,46 +19,13 @@ phase saving, and geometric restarts.
 from __future__ import annotations
 
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
-
-def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    num_vars = None
-    num_clauses = None
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: malformed problem line {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
-            continue
-        if num_vars is None:
-            raise ValueError(f"line {lineno}: clause before problem line")
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                if abs(lit) > num_vars:
-                    raise ValueError(f"line {lineno}: literal {lit} exceeds {num_vars} vars")
-                current.append(lit)
-    if current:
-        raise ValueError("unterminated clause at end of input")
-    if num_vars is None:
-        raise ValueError("missing problem line")
-    if num_clauses is not None and len(clauses) != num_clauses:
-        raise ValueError(f"header promises {num_clauses} clauses, found {len(clauses)}")
-    return num_vars, clauses
+from .satgen import dimacs_read
 
 
 class Solver:
-    def __init__(self, num_vars: int, clauses: list[list[int]]):
+    def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]]):
         self.nv = num_vars
         self.assign = [0] * (num_vars + 1)      # 0 unassigned, +1 true, -1 false
         self.level = [0] * (num_vars + 1)
@@ -72,7 +42,7 @@ class Solver:
         for clause in clauses:
             self._add_clause(clause)
 
-    def _add_clause(self, lits: list[int]) -> None:
+    def _add_clause(self, lits: Sequence[int]) -> None:
         seen = dict.fromkeys(lits)
         lits = list(seen)
         if any(-lit in seen for lit in lits):
@@ -241,23 +211,27 @@ class Solver:
             conflicts_budget = int(conflicts_budget * 1.5)
 
 
-def main(argv: list[int]) -> int:
+def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: dimacs_solver FILE.cnf", file=sys.stderr)
         return 1
-    if argv[1] == "-":
-        text = sys.stdin.read()
-    else:
-        with open(argv[1], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    num_vars, clauses = parse_dimacs(text)
-    model = Solver(num_vars, clauses).solve()
+    try:
+        if argv[1] == "-":
+            text = sys.stdin.read()
+        else:
+            with open(argv[1], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        f = dimacs_read(text)
+    except (OSError, ValueError) as exc:   # ParseError and UnicodeDecodeError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    model = Solver(f.num_vars, f.clauses).solve()
     print("c ramsey-circle reference CDCL solver")
     if model is None:
         print("s UNSATISFIABLE")
         return 20
     print("s SATISFIABLE")
-    lits = [v if model[v] else -v for v in range(1, num_vars + 1)]
+    lits = [v if model[v] else -v for v in range(1, f.num_vars + 1)]
     for i in range(0, len(lits), 20):
         chunk = lits[i:i + 20]
         tail = " 0" if i + 20 >= len(lits) else ""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .core import RefutationError
-from .uniform import ResidueInstance
+from .uniform import ResidueInstance, window_order
 
 
 class DoublingBoundaryError(ValueError):
@@ -85,12 +85,12 @@ def orbit_from_uniform(k: int, t: int) -> DoublingOrbit:
 
 def prefix_permutation(xs: Union[DoublingOrbit, Sequence[Fraction]],
                        ) -> Optional[tuple[int, ...]]:
-    """A permutation pi (1-based) with all prefix sums of x_pi in [0, 1).
+    """The lexicographically least permutation pi (1-based) with every
+    prefix sum of x_pi in [0, 1); None when no ordering works.
 
-    Requires the values to sum to exactly 0.  Backtracking over positions in
-    ascending order with the used subset memoised (a prefix sum depends only
-    on which values are used, not their order), so the first permutation
-    found is the lexicographically least; None when no ordering works.
+    Requires the values to sum to exactly 0.  Scaled to integers over their
+    common denominator, this is `uniform.window_order` with that denominator
+    as the window.
     """
     values = tuple(Fraction(x) for x in (xs.xs if isinstance(xs, DoublingOrbit) else xs))
     if not values:
@@ -98,29 +98,5 @@ def prefix_permutation(xs: Union[DoublingOrbit, Sequence[Fraction]],
     if sum(values) != 0:
         raise ValueError(f"values must sum to 0, got {sum(values)}")
     denom = math.lcm(*(x.denominator for x in values))
-    ints = [int(x * denom) for x in values]
-    k = len(ints)
-    failed: set[int] = set()
-    out: list[int] = []
-
-    def extend(total: int, used_bits: int) -> bool:
-        if len(out) == k:
-            return True
-        if used_bits in failed:
-            return False
-        tried: set[int] = set()
-        for i in range(k):
-            if used_bits >> i & 1 or ints[i] in tried:
-                continue
-            tried.add(ints[i])
-            if 0 <= total + ints[i] < denom:
-                out.append(i)
-                if extend(total + ints[i], used_bits | (1 << i)):
-                    return True
-                out.pop()
-        failed.add(used_bits)
-        return False
-
-    if not extend(0, 0):
-        return None
-    return tuple(i + 1 for i in out)
+    order = window_order(tuple(int(x * denom) for x in values), denom)
+    return None if order is None else tuple(i + 1 for i in order)

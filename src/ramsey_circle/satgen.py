@@ -131,6 +131,8 @@ def dimacs_read(text: str) -> CnfFormula:
                 num_vars, promised = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed problem line {stripped!r}", line=lineno) from None
+            if num_vars < 0 or promised < 0:
+                raise ParseError(f"negative count in problem line {stripped!r}", line=lineno)
             continue
         if num_vars is None:
             raise ParseError("clause before problem line", line=lineno)

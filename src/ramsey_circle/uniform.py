@@ -10,8 +10,9 @@ modulo 2^(k+1) - 2 turns red-copy existence into a purely arithmetic
 question: order the k jump residues 2t, 4t, ..., 2^k t so that every
 partial position stays inside the red residue window {0, ..., 2^k - 2}.
 Because the position after a prefix depends only on the set of jumps used,
-a memoised search over the 2^k subsets decides this without touching k!
-orderings.
+a memoised search over the 2^k subsets, `window_order`, decides this
+without touching k! orderings.  It is the only prefix-window search:
+`doubling.prefix_permutation` scales its orbit to integers and calls it too.
 """
 
 from __future__ import annotations
@@ -136,15 +137,17 @@ class ResidueWitness:
 
 
 @lru_cache(maxsize=65536)
-def window_order(sorted_values: tuple[int, ...], window: int) -> Optional[tuple[int, ...]]:
-    """Order a zero-sum multiset so every prefix sum lies in [0, window).
+def window_order(values: tuple[int, ...], window: int) -> Optional[tuple[int, ...]]:
+    """Order a zero-sum list so every prefix sum lies in [0, window).
 
-    Memoised on the used subset: the prefix sum after a subset is the same
-    for every ordering of it.  Returns the least feasible value sequence.
+    Returns the lexicographically least sequence of 0-based indices into
+    values that does so, or None.  Equal values are tried once per position
+    (the lowest unused index stands for them all), and failures are
+    memoised on the used subset: the prefix sum after a subset is the same
+    for every ordering of it.
     """
-    k = len(sorted_values)
+    k = len(values)
     failed: set[int] = set()
-    used = [False] * k
     out: list[int] = []
 
     def extend(total: int, used_bits: int) -> bool:
@@ -152,33 +155,21 @@ def window_order(sorted_values: tuple[int, ...], window: int) -> Optional[tuple[
             return True
         if used_bits in failed:
             return False
-        prev = None
+        tried: set[int] = set()
         for i in range(k):
-            if used[i] or sorted_values[i] == prev:
+            v = values[i]
+            if used_bits >> i & 1 or v in tried:
                 continue
-            v = sorted_values[i]
+            tried.add(v)
             if 0 <= total + v < window:
-                used[i] = True
-                out.append(v)
+                out.append(i)
                 if extend(total + v, used_bits | (1 << i)):
                     return True
                 out.pop()
-                used[i] = False
-            prev = v
         failed.add(used_bits)
         return False
 
     return tuple(out) if extend(0, 0) else None
-
-
-def _indices_for_value_order(values: tuple[int, ...], order: tuple[int, ...]) -> tuple[int, ...]:
-    taken = [False] * len(values)
-    idx = []
-    for v in order:
-        i = next(j for j, w in enumerate(values) if w == v and not taken[j])
-        taken[i] = True
-        idx.append(i)
-    return tuple(idx)
 
 
 def residue_check(k: int, t: int) -> Optional[ResidueWitness]:
@@ -187,14 +178,17 @@ def residue_check(k: int, t: int) -> Optional[ResidueWitness]:
     A start residue r and a growing chain of jump subsets keep all positions
     red iff some ordering of the signed jumps has all prefix sums in
     [0, 2^k - 1): any red walk, restarted at its minimal position, yields
-    one, so r = 0 can be reported whenever a witness exists at all.
+    one, so r = 0 can be reported whenever a witness exists at all.  The
+    jumps are searched in stable by-value order, so the witness is the least
+    value sequence, each value taking its lowest unused jump index.
     """
     inst = ResidueInstance(k=k, t=t)
     signed = inst.signed
-    order_values = window_order(tuple(sorted(signed)), inst.window)
-    if order_values is None:
+    by_value = sorted(range(k), key=signed.__getitem__)
+    order = window_order(tuple(signed[i] for i in by_value), inst.window)
+    if order is None:
         return None
-    jump_order = _indices_for_value_order(signed, order_values)
+    jump_order = tuple(by_value[i] for i in order)
     jumps, m = inst.jumps, inst.m   # properties: each read rebuilds the residues
     positions = []
     pos = 0

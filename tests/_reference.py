@@ -1,5 +1,6 @@
 """Test-only reference routes, kept independent of the code they check."""
 
+import math
 import os
 import subprocess
 import sys
@@ -58,6 +59,43 @@ def dfs_copy_in_class(class_mask: int, n: int, gaps: Sequence[int],
             return (tuple(vertices[shift:] + vertices[:shift]),
                     order[shift:] + order[:shift])
     return None
+
+
+def prefix_order(values: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
+    """The lexicographically least permutation (1-based) of zero-sum values
+    whose prefix sums all lie in [0, 1), or None.
+
+    Backtracking over positions on the values scaled by their common
+    denominator, each value tried once per position and the used subset
+    memoised; shares no code with `uniform.window_order`.
+    """
+    values = [Fraction(x) for x in values]
+    assert values and sum(values) == 0
+    denom = math.lcm(*(x.denominator for x in values))
+    ints = [int(x * denom) for x in values]
+    k = len(ints)
+    failed: set[int] = set()
+    out: list[int] = []
+
+    def extend(total: int, used_bits: int) -> bool:
+        if len(out) == k:
+            return True
+        if used_bits in failed:
+            return False
+        tried: set[int] = set()
+        for i in range(k):
+            if used_bits >> i & 1 or ints[i] in tried:
+                continue
+            tried.add(ints[i])
+            if 0 <= total + ints[i] < denom:
+                out.append(i)
+                if extend(total + ints[i], used_bits | (1 << i)):
+                    return True
+                out.pop()
+        failed.add(used_bits)
+        return False
+
+    return tuple(i + 1 for i in out) if extend(0, 0) else None
 
 
 def run_sweep_item_in_subprocess(argv: Sequence[str], spec_dir: Path) -> int:

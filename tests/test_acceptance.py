@@ -12,7 +12,7 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
-from _reference import dfs_copy_in_class
+from _reference import dfs_copy_in_class, prefix_order
 from ramsey_circle.beatty import (BalancedWord, BeattyPair, densities,
                                   fraenkel_diagnostics, partition_check,
                                   power_pair, word_from_pair)
@@ -163,12 +163,13 @@ def test_criterion_07_doubling_equivalence():
         m = 2 ** (k + 1) - 2
         for t in range(1, m + 1):
             orbit = orbit_from_uniform(k, t)
-            assert (prefix_permutation(orbit) is not None) == \
-                (residue_check(k, t) is not None), f"k={k}, t={t}"
+            pi = prefix_permutation(orbit)
+            assert pi == prefix_order(orbit.xs), f"k={k}, t={t}"
+            assert (pi is not None) == (residue_check(k, t) is not None), f"k={k}, t={t}"
     assert prefix_permutation([F(3, 5), F(3, 5), F(3, 5),
                                F(-9, 10), F(-9, 10)]) is None
-    report(7, "prefix orderings match residue verdicts for k in [3,12], all t; "
-              "the five-value counterexample has none")
+    report(7, "prefix orderings match residue verdicts and the reference search "
+              "for k in [3,12], all t; the five-value counterexample has none")
 
 
 def test_criterion_08_parity():

@@ -129,6 +129,21 @@ def test_beatty_check_power_pair_with_diagnostics(capsys):
     assert body["diagnostics"]["power_flag"] is True
 
 
+def test_beatty_check_failure_past_the_limit_keeps_the_verdict(capsys):
+    # [0, 1) is partitioned, but the diagnostics window [0, 2p) = [0, 6)
+    # has a gap at 1: the verdict stays ok and the diagnostics are null
+    argv = ["beatty-check", "--alphas", "3/2", "--half", "--limit", "1"]
+    code, body = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert body["kind"] == "ok" and body["diagnostics"] is None
+    assert dispatch(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "partition of [0, 1): ok",
+        "no diagnostics: beyond [0, 1), value 1 is hit by no sequence"]
+    assert captured.err == ""
+
+
 def test_balanced_check(capsys):
     code, body = run_json(capsys, ["balanced-check", "--period", "a,b,a,c,a,b,a"])
     assert code == EXIT_OK and body["balanced"] is True

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from _reference import prefix_order
 from ramsey_circle.doubling import (DoublingBoundaryError, DoublingOrbit,
                                     doubling_step, orbit_from_seed,
                                     orbit_from_uniform, prefix_permutation)
@@ -123,5 +124,6 @@ def test_equivalence_with_residue_check(k):
     m = 2 ** (k + 1) - 2
     for t in range(1, m + 1):
         orbit = orbit_from_uniform(k, t)
-        assert (prefix_permutation(orbit) is not None) == \
-            (residue_check(k, t) is not None)
+        pi = prefix_permutation(orbit)
+        assert pi == prefix_order(orbit.xs)
+        assert (pi is not None) == (residue_check(k, t) is not None)

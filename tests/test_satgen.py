@@ -13,7 +13,7 @@ import ramsey_circle
 from ramsey_circle.cli import EXIT_ERROR, dispatch
 from ramsey_circle.core import Colouring, ParseError, discretize, power_tuple
 from ramsey_circle.detector import detect_bruteforce
-from ramsey_circle.dimacs_solver import Solver, parse_dimacs
+from ramsey_circle.dimacs_solver import Solver
 from ramsey_circle.satgen import (CnfFormula, ModelValidationError,
                                   SolverNotFoundError, SolverOutputError,
                                   cnf_generate, default_solver_command,
@@ -98,6 +98,9 @@ def test_dimacs_read_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         dimacs_read("p cnf 2 1\n5 0\n")
     assert "exceeds" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        dimacs_read("c x\np cnf -1 0\n")
+    assert exc.value.line == 2
 
 
 def test_sign_convention_documented_example():
@@ -218,18 +221,47 @@ def test_default_solver_env_override(monkeypatch):
     assert "dimacs_solver" in default_solver_command()
 
 
+def run_bundled_solver(path):
+    return subprocess.run([sys.executable, "-m", "ramsey_circle.dimacs_solver", str(path)],
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_reference_solver_cli_roundtrip(tmp_path):
     path = tmp_path / "k3.cnf"
     path.write_text(dimacs_write(cnf_generate(3)), encoding="utf-8")
-    proc = subprocess.run([sys.executable, "-m", "ramsey_circle.dimacs_solver", str(path)],
-                          capture_output=True, text=True)
+    proc = run_bundled_solver(path)
     assert proc.returncode == 20
     assert "s UNSATISFIABLE" in proc.stdout
 
 
-def test_parse_dimacs_in_solver_module():
-    nv, clauses = parse_dimacs("c x\np cnf 3 2\n1 -2 0\n3 0\n")
-    assert nv == 3 and clauses == [[1, -2], [3]]
+def test_reference_solver_cli_reads_comments_and_split_clauses(tmp_path):
+    # comment lines before the header and between clauses, and one clause
+    # spread over two lines
+    path = tmp_path / "split.cnf"
+    path.write_text("c leading comment\np cnf 3 4\n1 -2\n 3 0\nc between clauses\n"
+                    "-1 0\n2 -3 0\n3 0\n", encoding="utf-8")
+    proc = run_bundled_solver(path)
+    assert proc.returncode == 10
+    assert "s SATISFIABLE" in proc.stdout.splitlines()
+    model = {abs(lit): lit > 0 for line in proc.stdout.splitlines() if line.startswith("v ")
+             for lit in map(int, line[2:].split()) if lit}
+    assert sorted(model) == [1, 2, 3]
+    for clause in ((1, -2, 3), (-1,), (2, -3), (3,)):
+        assert any(model[abs(lit)] == (lit > 0) for lit in clause)
+
+
+@pytest.mark.parametrize("text", ["p cnf 3 1\n1 x 0\n", "p cnf 2 2\n1 0\n0\n",
+                                  "p cnf -1 0\n", None],
+                         ids=["bad-literal", "empty-clause", "negative-vars", "missing-file"])
+def test_reference_solver_cli_bad_input_is_one_error_line(tmp_path, text):
+    path = tmp_path / "input.cnf"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    proc = run_bundled_solver(path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
 def test_bundled_solver_starts_without_package_on_pythonpath(tmp_path):

@@ -1,16 +1,18 @@
 """Uniform colourings, jump counts, residue orderings, witness sweeps."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from _reference import prefix_order
 from ramsey_circle.core import DistanceTuple, RefutationError, power_tuple
 from ramsey_circle.detector import detect_dp
 from ramsey_circle.uniform import (ResidueInstance, jump_counts,
                                    nonpower_witness, residue_check,
                                    uniform_colouring,
-                                   uniform_contains_mono_copy)
+                                   uniform_contains_mono_copy, window_order)
 
 
 def test_uniform_colouring_halves():
@@ -100,6 +102,44 @@ def test_residue_check_all_t_k3():
         for i in w.jump_order:
             pos = (pos + w.instance.jumps[i]) % 14
             assert pos < 7
+
+
+def first_window_permutation(values, window):
+    """Factorial oracle: the first index permutation, in lexicographic
+    order, whose prefix sums all lie in [0, window)."""
+    for perm in itertools.permutations(range(len(values))):
+        total = 0
+        for i in perm:
+            total += values[i]
+            if not 0 <= total < window:
+                break
+        else:
+            return perm
+    return None
+
+
+def test_window_order_is_the_least_index_sequence():
+    # zero-sum integer tuples in arbitrary order, most with repeated values:
+    # the exact index sequence must equal the first feasible permutation in
+    # lexicographic order and the test-only backtracking search
+    rng = random.Random(73)
+    found = missing = repeated = 0
+    for _ in range(400):
+        window = rng.randint(1, 12)
+        pool = [rng.randint(-window, window) for _ in range(rng.randint(1, 4))]
+        values = [rng.choice(pool) for _ in range(rng.randint(0, 7))]
+        values.append(-sum(values))
+        rng.shuffle(values)
+        values = tuple(values)
+        expected = first_window_permutation(values, window)
+        got = window_order(values, window)
+        assert got == expected, (values, window)
+        reference = prefix_order([F(v, window) for v in values])
+        assert reference == (None if got is None else tuple(i + 1 for i in got))
+        found += got is not None
+        missing += got is None
+        repeated += len(set(values)) < len(values)
+    assert found >= 100 and missing >= 100 and repeated >= 200
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
