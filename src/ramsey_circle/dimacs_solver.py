@@ -2,18 +2,28 @@
 
 Usage: python -m ramsey_circle.dimacs_solver FILE.cnf
 
-Prints "s SATISFIABLE" with "v" model lines, or "s UNSATISFIABLE"; exit
-codes follow the competition convention (10 SAT, 20 UNSAT).  The input is
-read by the package's one DIMACS parser, `satgen.dimacs_read`; a missing or
-malformed file prints a single "error:" line to stderr, no "s" line, and
-exits 1.  The solver has no dependency outside the standard library and is
-deterministic, so it can act as the default external solver subprocess on
-machines where no real SAT solver is installed; swap in
-kissat/cadical/minisat via RAMSEY_SAT_SOLVER for speed.
+Prints four counter lines ("c conflicts N", "c decisions N",
+"c propagations N", "c restarts N"), then "s SATISFIABLE" with "v" model
+lines, or "s UNSATISFIABLE"; exit codes follow the competition convention
+(10 SAT, 20 UNSAT).  The input is read by the package's one DIMACS parser,
+`satgen.dimacs_read`; a missing or malformed file prints a single "error:"
+line to stderr, no "s" line, and exits 1.  The solver has no dependency
+outside the standard library and is deterministic, so it can act as the
+default external solver subprocess on machines where no real SAT solver is
+installed; swap in kissat/cadical/minisat via RAMSEY_SAT_SOLVER for speed.
 
 Implements the standard loop: two-watched-literal unit propagation, first
 unique implication point conflict analysis, activity-driven branching with
 phase saving, and geometric restarts.
+
+Layout: the two per-literal tables, `val` and `watches`, are lists of
+length 2n + 1 indexed by the signed literal itself.  Python's negative
+indexing sends -v to slot 2n + 1 - v, so v and -v never share a slot and
+slot 0 is unused; the hot loop reads `val[lit]` and `watches[lit]` with no
+abs() and no branch on the sign.  `val[lit]` is +1 when lit is true, -1 when
+it is false and 0 when unassigned, and every assignment writes both
+`val[v]` and `val[-v]`.  The per-variable tables (level, reason, phase,
+activity) are indexed by v in 1..n.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from .satgen import dimacs_read
 class Solver:
     def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]]):
         self.nv = num_vars
-        self.assign = [0] * (num_vars + 1)      # 0 unassigned, +1 true, -1 false
+        self.val = [0] * (2 * num_vars + 1)
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
         self.level = [0] * (num_vars + 1)
         self.reason: list[Optional[list[int]]] = [None] * (num_vars + 1)
         self.phase = [False] * (num_vars + 1)
@@ -36,15 +47,19 @@ class Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: dict[int, list[list[int]]] = {}
         self.unsat = False
         self.units: list[int] = []
+        self.conflicts = self.decisions = self.propagations = self.restarts = 0
         for clause in clauses:
             self._add_clause(clause)
 
     def _add_clause(self, lits: Sequence[int]) -> None:
         seen = dict.fromkeys(lits)
         lits = list(seen)
+        # an out-of-range literal would alias another one's slot
+        if lits and (0 in seen or not -self.nv <= min(lits) <= max(lits) <= self.nv):
+            raise ValueError(f"clause {lits} has a literal out of range for "
+                             f"{self.nv} variables")
         if any(-lit in seen for lit in lits):
             return  # tautology
         if not lits:
@@ -56,120 +71,145 @@ class Solver:
         self._watch(lits)
 
     def _watch(self, clause: list[int]) -> None:
-        self.watches.setdefault(clause[0], []).append(clause)
-        self.watches.setdefault(clause[1], []).append(clause)
-
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     def _enqueue(self, lit: int, reason: Optional[list[int]]) -> bool:
-        v = self._value(lit)
-        if v == 1:
-            return True
-        if v == -1:
-            return False
+        v = self.val[lit]
+        if v:
+            return v == 1
+        self.val[lit] = 1
+        self.val[-lit] = -1
         var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         return True
 
     def _propagate(self) -> Optional[list[int]]:
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = -lit
-            watchers = self.watches.get(false_lit)
-            if not watchers:
-                continue
+        val = self.val
+        watches = self.watches
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        cur_level = len(self.trail_lim)
+        qhead = start = self.qhead
+        conflict = None
+        while qhead < len(trail) and conflict is None:
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = watches[false_lit]
             i = 0
-            while i < len(watchers):
+            end = len(watchers)
+            while i < end:
                 clause = watchers[i]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                if val[first] == 1:
                     i += 1
                     continue
                 for j in range(2, len(clause)):
-                    if self._value(clause[j]) != -1:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
-                        watchers[i] = watchers[-1]
-                        watchers.pop()
+                    lit = clause[j]
+                    if val[lit] != -1:
+                        clause[1] = lit
+                        clause[j] = false_lit
+                        watches[lit].append(clause)
+                        end -= 1
+                        watchers[i] = watchers[end]  # the tail is cut below
                         break
                 else:
-                    if not self._enqueue(first, clause):
-                        return clause  # conflict
+                    if val[first]:
+                        conflict = clause  # every literal is false
+                        self.conflicts += 1
+                        break
+                    val[first] = 1
+                    val[-first] = -1
+                    var = first if first > 0 else -first
+                    level[var] = cur_level
+                    reason[var] = clause
+                    trail.append(first)
                     i += 1
-        return None
-
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.nv + 1):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
+            del watchers[end:]
+        self.propagations += qhead - start
+        self.qhead = qhead
+        return conflict
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and the level to backjump to."""
+        level = self.level
+        trail = self.trail
+        activity = self.activity
+        var_inc = self.var_inc
         cur_level = len(self.trail_lim)
         learnt = [0]  # placeholder for the asserting literal
         seen = [False] * (self.nv + 1)
         counter = 0
         p = None
         reason = conflict
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         while True:
             # A reason clause has its asserted literal at position 0; the
             # conflict clause (first round) is walked in full.
             for lit in (reason if p is None else reason[1:]):
-                var = abs(lit)
-                if not seen[var] and self.level[var] > 0:
+                var = lit if lit > 0 else -lit
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump(var)
-                    if self.level[var] == cur_level:
+                    activity[var] += var_inc
+                    if activity[var] > 1e100:
+                        for v in range(1, self.nv + 1):
+                            activity[v] *= 1e-100
+                        var_inc *= 1e-100
+                    if level[var] == cur_level:
                         counter += 1
                     else:
                         learnt.append(lit)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = -self.trail[idx]
+            p = -trail[idx]
             idx -= 1
             seen[abs(p)] = False
             counter -= 1
             if counter == 0:
                 break
             reason = self.reason[abs(p)]
+        self.var_inc = var_inc
         learnt[0] = p
         if len(learnt) == 1:
             return learnt, 0
         # Watch a maximum-level tail literal: it unassigns no later than the
         # asserting literal, keeping the two-watch invariant after backjumps.
-        hi = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+        hi = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
         learnt[1], learnt[hi] = learnt[hi], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[abs(learnt[1])]
 
     def _backjump(self, level: int) -> None:
-        while self.trail_lim and len(self.trail_lim) > level:
-            limit = self.trail_lim.pop()
-            while len(self.trail) > limit:
-                lit = self.trail.pop()
-                var = abs(lit)
-                self.phase[var] = lit > 0
-                self.assign[var] = 0
-                self.reason[var] = None
+        trail_lim = self.trail_lim
+        if len(trail_lim) > level:
+            trail = self.trail
+            val = self.val
+            phase = self.phase
+            limit = trail_lim[level]
+            del trail_lim[level:]
+            for lit in trail[limit:]:
+                val[lit] = val[-lit] = 0
+                if lit > 0:
+                    phase[lit] = True
+                else:
+                    phase[-lit] = False
+            del trail[limit:]
         self.qhead = len(self.trail)
 
     def _decide(self) -> Optional[int]:
+        val = self.val
+        activity = self.activity
         best = 0
         best_act = -1.0
         for var in range(1, self.nv + 1):
-            if self.assign[var] == 0 and self.activity[var] > best_act:
+            if not val[var] and activity[var] > best_act:
                 best = var
-                best_act = self.activity[var]
+                best_act = activity[var]
         if best == 0:
             return None
         return best if self.phase[best] else -best
@@ -203,11 +243,13 @@ class Solver:
                     continue
                 decision = self._decide()
                 if decision is None:
-                    return [self.assign[v] > 0 for v in range(self.nv + 1)]
+                    return [self.val[v] > 0 for v in range(self.nv + 1)]
+                self.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(decision, None)
             # Restart: keep learned clauses and phases, drop the trail.
             self._backjump(0)
+            self.restarts += 1
             conflicts_budget = int(conflicts_budget * 1.5)
 
 
@@ -225,8 +267,13 @@ def main(argv: list[str]) -> int:
     except (OSError, ValueError) as exc:   # ParseError and UnicodeDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    model = Solver(f.num_vars, f.clauses).solve()
+    solver = Solver(f.num_vars, f.clauses)
+    model = solver.solve()
     print("c ramsey-circle reference CDCL solver")
+    print(f"c conflicts {solver.conflicts}")
+    print(f"c decisions {solver.decisions}")
+    print(f"c propagations {solver.propagations}")
+    print(f"c restarts {solver.restarts}")
     if model is None:
         print("s UNSATISFIABLE")
         return 20

@@ -16,11 +16,9 @@ bundled reference solver, overridable with RAMSEY_SAT_SOLVER.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
-import shlex
-import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -45,7 +43,8 @@ class SolverNotFoundError(SolverError):
 
 
 class SolverOutputError(SolverError):
-    """The subprocess produced no parseable status line."""
+    """The subprocess output has no status line, more than one, an unknown
+    status, or a model line with a token that is not an integer."""
 
 
 class ModelValidationError(SolverError):
@@ -58,8 +57,13 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        for clause in self.clauses:
+        clauses = tuple(map(tuple, self.clauses))
+        object.__setattr__(self, "clauses", clauses)
+        literals = set(itertools.chain.from_iterable(clauses))
+        if all(clauses) and 0 not in literals and (
+                not literals or -self.num_vars <= min(literals) <= max(literals) <= self.num_vars):
+            return
+        for clause in clauses:
             if not clause:
                 raise ValueError("empty clause")
             for lit in clause:
@@ -93,14 +97,15 @@ def cnf_generate(k: int) -> CnfFormula:
         raise ValueError(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
     n = 2**k - 1
     gaps = tuple(2**(k - 1 - i) for i in range(k))
-    positive = []
-    for v in range(n):
-        for rest in itertools.permutations(gaps[1:]):
-            vertices = [v]
-            for g in (gaps[0],) + rest[:-1]:
-                vertices.append((vertices[-1] + g) % n)
-            positive.append(tuple(u + 1 for u in vertices))
-    negative = [tuple(-lit for lit in clause) for clause in positive]
+    # The offsets from the start vertex of one copy, one getter per ordering
+    # of the gaps after the largest; the start-v row of `literal` holds the
+    # literal (v + o) mod n + 1 of vertex v + o at position o < n.
+    copies = [operator.itemgetter(*itertools.accumulate((gaps[0],) + rest[:-1], initial=0))
+              for rest in itertools.permutations(gaps[1:])]
+    literal = list(range(1, n + 1)) * 2
+    negated = [-lit for lit in literal]
+    positive = [copy(row) for row in (literal[v:v + n] for v in range(n)) for copy in copies]
+    negative = [copy(row) for row in (negated[v:v + n] for v in range(n)) for copy in copies]
     return CnfFormula(num_vars=n, clauses=tuple(positive + negative))
 
 
@@ -108,7 +113,8 @@ def dimacs_write(f: CnfFormula, comments: Sequence[str] = ()) -> str:
     lines = [f"c {GENERATOR_NAME}"]
     lines.extend(f"c {comment}" for comment in comments)
     lines.append(f"p cnf {f.num_vars} {f.num_clauses}")
-    lines.extend(" ".join(map(str, clause)) + " 0" for clause in f.clauses)
+    formats = {size: "%d " * size + "0" for size in set(map(len, f.clauses))}
+    lines.extend(formats[len(clause)] % clause for clause in f.clauses)
     return "\n".join(lines) + "\n"
 
 
@@ -117,18 +123,33 @@ def dimacs_read(text: str) -> CnfFormula:
     promised = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
+    # Every token already read as 0 or as a literal in range, and its value:
+    # a line made only of such tokens needs no int() and no range check.
+    known = {"0": 0}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
+        tokens = line.split()
+        if tokens and not current:
+            # One whole clause on the line: the checks below would pass and
+            # append exactly this tuple.
+            try:
+                lits = list(map(known.__getitem__, tokens))
+            except KeyError:
+                pass
+            else:
+                if lits[-1] == 0 and lits.count(0) == 1 and len(lits) > 1:
+                    lits.pop()
+                    clauses.append(tuple(lits))
+                    continue
+        if not tokens or tokens[0].startswith("c"):
             continue
-        if stripped.startswith("p"):
+        if tokens[0].startswith("p"):
+            stripped = line.strip()
             if num_vars is not None:
                 raise ParseError("duplicate problem line", line=lineno)
-            parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError(f"malformed problem line {stripped!r}", line=lineno)
             try:
-                num_vars, promised = int(parts[2]), int(parts[3])
+                num_vars, promised = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise ParseError(f"malformed problem line {stripped!r}", line=lineno) from None
             if num_vars < 0 or promised < 0:
@@ -136,7 +157,7 @@ def dimacs_read(text: str) -> CnfFormula:
             continue
         if num_vars is None:
             raise ParseError("clause before problem line", line=lineno)
-        for tok in stripped.split():
+        for tok in tokens:
             try:
                 lit = int(tok)
             except ValueError:
@@ -150,6 +171,7 @@ def dimacs_read(text: str) -> CnfFormula:
                 raise ParseError(f"literal {lit} exceeds {num_vars} variables", line=lineno)
             else:
                 current.append(lit)
+                known[tok] = lit
     if current:
         raise ParseError("unterminated clause at end of file")
     if num_vars is None:
@@ -160,6 +182,8 @@ def dimacs_read(text: str) -> CnfFormula:
 
 
 def default_solver_command() -> str:
+    import shlex   # here, not at the top: the bundled solver imports this module
+
     env = os.environ.get("RAMSEY_SAT_SOLVER")
     if env:
         return env
@@ -175,6 +199,9 @@ def _solver_env() -> dict[str, str]:
     return env
 
 
+_STATUS = {"SATISFIABLE": "SAT", "UNSATISFIABLE": "UNSAT", "UNKNOWN": "UNKNOWN"}
+
+
 def _parse_solver_output(stdout: str, returncode: int, stderr: str,
                          ) -> tuple[str, Optional[dict[int, bool]]]:
     status = None
@@ -183,14 +210,18 @@ def _parse_solver_output(stdout: str, returncode: int, stderr: str,
         line = line.strip()
         if line.startswith("s "):
             token = line[2:].strip()
-            if token == "SATISFIABLE":
-                status = "SAT"
-            elif token == "UNSATISFIABLE":
-                status = "UNSAT"
-            elif token == "UNKNOWN":
-                status = "UNKNOWN"
+            if status is not None:
+                raise SolverOutputError(f"second status line {line!r} in solver output")
+            status = _STATUS.get(token)
+            if status is None:
+                raise SolverOutputError(f"unknown status {token!r} in solver output")
         elif line.startswith("v "):
-            model_lits.extend(int(tok) for tok in line[2:].split())
+            for tok in line[2:].split():
+                try:
+                    model_lits.append(int(tok))
+                except ValueError:
+                    raise SolverOutputError(
+                        f"invalid literal {tok!r} in solver model line") from None
     if status is None:
         raise SolverOutputError(
             f"no status line in solver output (exit code {returncode}); "
@@ -213,6 +244,10 @@ def solve_external(f: CnfFormula, solver_command: Union[str, Sequence[str], None
                    timeout: Optional[float] = None) -> SolverOutcome:
     """Run the solver on f and parse the outcome; SAT models are checked
     against every clause before being decoded into a colouring."""
+    import shlex   # here, not at the top: see default_solver_command
+    import subprocess
+    import tempfile
+
     command = solver_command if solver_command is not None else default_solver_command()
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     started = time.monotonic()

@@ -118,21 +118,103 @@ def test_bundled_solver_on_generated_formulas():
 
 def test_bundled_solver_fuzz_against_enumeration():
     def brute_sat(nv, clauses):
-        return any(all(any((bits >> (abs(l) - 1) & 1) == (l > 0) for l in c)
-                       for c in clauses)
+        # a clause as (positive mask, negative mask): bits satisfies it when
+        # some positive variable is set or some negative one is clear
+        masks = [(sum(1 << (l - 1) for l in c if l > 0),
+                  sum(1 << (-l - 1) for l in c if l < 0)) for c in clauses]
+        return any(all(bits & pos or ~bits & neg for pos, neg in masks)
                    for bits in range(1 << nv))
 
     rng = random.Random(77)
+    outcomes = {True: 0, False: 0}
+    wide = 0   # formulas whose clauses may have 4 or 5 literals
     for _ in range(400):
-        nv = rng.randint(1, 8)
+        nv = rng.randint(1, 12)
+        width = rng.randint(1, min(5, nv))
+        wide += width >= 4
         clauses = [[v if rng.random() < 0.5 else -v
-                    for v in rng.sample(range(1, nv + 1), rng.randint(1, min(3, nv)))]
-                   for _ in range(rng.randint(1, 20))]
+                    for v in rng.sample(range(1, nv + 1), rng.randint(1, width))]
+                   for _ in range(rng.randint(1, 4 * nv))]
         expected = brute_sat(nv, clauses)
         model = Solver(nv, [list(c) for c in clauses]).solve()
         assert (model is not None) == expected
         if model:
             assert all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+        outcomes[expected] += 1
+    assert min(outcomes.values()) >= 100 and wide >= 100, (outcomes, wide)
+
+
+def _relabel(f, rng):
+    """The same formula up to a vertex permutation and a clause order."""
+    perm = list(range(1, f.num_vars + 1))
+    rng.shuffle(perm)
+    clauses = [tuple(perm[l - 1] if l > 0 else -perm[-l - 1] for l in c) for c in f.clauses]
+    rng.shuffle(clauses)
+    return CnfFormula(num_vars=f.num_vars, clauses=tuple(clauses))
+
+
+class _RecordingSolver(Solver):
+    """The bundled solver, keeping a copy of every clause it learns."""
+
+    def __init__(self, num_vars, clauses):
+        self.learnt = []
+        super().__init__(num_vars, clauses)
+
+    def _analyze(self, conflict):
+        learnt, back = super()._analyze(conflict)
+        self.learnt.append(tuple(learnt))
+        return learnt, back
+
+
+def _propagates_to_conflict(clauses, assumptions):
+    """Naive unit propagation from the assumed literals; True when some
+    clause ends up with every literal false."""
+    true = set(assumptions)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(lit in true for lit in clause):
+                continue
+            open_lits = [lit for lit in clause if -lit not in true]
+            if not open_lits:
+                return True
+            if len(open_lits) == 1:
+                true.add(open_lits[0])
+                changed = True
+    return False
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["k4", "k4-relabelled-1", "k4-relabelled-2"])
+def test_learnt_clauses_follow_by_reverse_unit_propagation(seed):
+    f = cnf_generate(4)
+    if seed is not None:
+        f = _relabel(f, random.Random(seed))
+    solver = _RecordingSolver(f.num_vars, f.clauses)
+    assert solver.solve() is None
+    assert len(solver.learnt) == solver.conflicts - 1   # the last conflict is at level 0
+    known = list(f.clauses)
+    for clause in solver.learnt:
+        assert _propagates_to_conflict(known, [-lit for lit in clause]), clause
+        known.append(clause)
+    assert _propagates_to_conflict(known, [])   # and then the empty clause
+
+
+def test_bundled_solver_counters_on_k4(tmp_path):
+    # the search of the bundled solver on the k = 4 formula; a change to
+    # these counts is a change to the search, not only to its speed
+    f = cnf_generate(4)
+    solver = Solver(f.num_vars, f.clauses)
+    assert solver.solve() is None
+    assert (solver.conflicts, solver.decisions, solver.propagations, solver.restarts) == (
+        56, 57, 284, 0)
+    path = tmp_path / "k4.cnf"
+    path.write_text(dimacs_write(f), encoding="utf-8")
+    proc = run_bundled_solver(path)
+    assert proc.returncode == 20
+    assert proc.stdout.splitlines()[1:] == [
+        "c conflicts 56", "c decisions 57", "c propagations 284", "c restarts 0",
+        "s UNSATISFIABLE"]
 
 
 def test_solver_output_format():
@@ -198,6 +280,24 @@ def test_lying_model_is_rejected(tmp_path):
                        f'echo "s SATISFIABLE"; echo "v {lits} 0"')
     with pytest.raises(ModelValidationError):
         solve_external(cnf_generate(3), solver_command=cmd)
+
+
+@pytest.mark.parametrize("body, message", [
+    ('echo "s SATISFIABLE"; echo "v 1 2 3 4 5 6 7 0"; echo "s UNSATISFIABLE"',
+     "second status line 's UNSATISFIABLE'"),
+    ('echo "s UNSATISFIABLE"; echo "s UNSATISFIABLE"', "second status line"),
+    ('echo "s SATISFIABLE"; echo "v 1 2 x3 0"', "invalid literal 'x3'"),
+    ('echo "s MAYBE"', "unknown status 'MAYBE'"),
+], ids=["sat-then-unsat", "repeated", "bad-model-token", "unknown-status"])
+def test_malformed_solver_output_is_an_error(tmp_path, capsys, body, message):
+    cmd = _fake_solver(tmp_path, "confused.sh", body)
+    with pytest.raises(SolverOutputError, match=message):
+        solve_external(cnf_generate(3), solver_command=cmd)
+    # never a verdict: `solve` exits 2 with one error line and no JSON
+    assert dispatch(["--json", "solve", "--k", "3", "--solver", cmd]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_partial_model_is_rejected(tmp_path):
