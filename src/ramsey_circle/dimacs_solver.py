@@ -35,6 +35,10 @@ from .satgen import dimacs_read
 
 
 class Solver:
+    """CDCL search over `clauses`.  After `solve()`, `conflicts`,
+    `decisions`, `propagations` (trail literals propagated) and `restarts`
+    count the work it did."""
+
     def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]]):
         self.nv = num_vars
         self.val = [0] * (2 * num_vars + 1)
@@ -185,20 +189,13 @@ class Solver:
         return learnt, level[abs(learnt[1])]
 
     def _backjump(self, level: int) -> None:
-        trail_lim = self.trail_lim
-        if len(trail_lim) > level:
-            trail = self.trail
-            val = self.val
-            phase = self.phase
-            limit = trail_lim[level]
-            del trail_lim[level:]
-            for lit in trail[limit:]:
-                val[lit] = val[-lit] = 0
-                if lit > 0:
-                    phase[lit] = True
-                else:
-                    phase[-lit] = False
-            del trail[limit:]
+        if len(self.trail_lim) > level:
+            limit = self.trail_lim[level]
+            del self.trail_lim[level:]
+            for lit in self.trail[limit:]:
+                self.val[lit] = self.val[-lit] = 0
+                self.phase[abs(lit)] = lit > 0
+            del self.trail[limit:]
         self.qhead = len(self.trail)
 
     def _decide(self) -> Optional[int]:

@@ -116,6 +116,13 @@ def test_bundled_solver_on_generated_formulas():
         assert model is expected
 
 
+@pytest.mark.parametrize("clause", [[1, 3], [-3, 1], [0, 1], [4]])
+def test_bundled_solver_rejects_literals_out_of_range(clause):
+    # literal-indexed tables: -3 or 3 with two variables would alias a slot
+    with pytest.raises(ValueError, match="out of range"):
+        Solver(2, [[1, 2], clause])
+
+
 def test_bundled_solver_fuzz_against_enumeration():
     def brute_sat(nv, clauses):
         # a clause as (positive mask, negative mask): bits satisfies it when
