@@ -325,8 +325,7 @@ def fraenkel_diagnostics(pair: BeattyPair, M: int) -> FraenkelReport:
     symmetric = period == period[::-1]
     consecutive = tuple(_consecutive_condition(word, a)
                         for a in range(1, pair.k + 1))
-    dens = densities(BalancedWord(period)) if set(period) == set(range(1, pair.k + 1)) \
-        else tuple(Fraction(sum(1 for s in period if s == a), p) for a in range(1, pair.k + 1))
+    dens = tuple(Fraction(period.count(a), p) for a in range(1, pair.k + 1))
     power = pair.k >= 3 and dens == power_tuple(pair.k).distances
     return FraenkelReport(period_length=p, period=period,
                           exact=bool(periodic), symmetric=symmetric,

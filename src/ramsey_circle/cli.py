@@ -239,15 +239,14 @@ def _cmd_balanced_check(cfg: RunConfig, args) -> int:
 
 def _cmd_doubling(cfg: RunConfig, args) -> int:
     if args.xs:
-        values = list(parse_fraction_list(args.xs))
-        payload: dict = {"xs": [str(x) for x in values]}
+        xs = list(parse_fraction_list(args.xs))
+        payload: dict = {"xs": [str(x) for x in xs]}
     else:
         if args.k is None or args.t is None:
             raise ValueError("provide either --xs or both --k and --t")
-        orbit = doubling.orbit_from_uniform(args.k, args.t)
-        values = list(orbit.xs)
-        payload = {"k": args.k, "t": args.t, "xs": [str(x) for x in values]}
-    pi = doubling.prefix_permutation(values)
+        xs = doubling.orbit_from_uniform(args.k, args.t)
+        payload = {"k": args.k, "t": args.t, "xs": [str(x) for x in xs.xs]}
+    pi = doubling.prefix_permutation(xs)
     payload["permutation"] = list(pi) if pi else None
     if pi is None:
         _emit(cfg, payload, ["none"])

@@ -196,7 +196,7 @@ class Solver:
                 self.val[lit] = self.val[-lit] = 0
                 self.phase[abs(lit)] = lit > 0
             del self.trail[limit:]
-        self.qhead = len(self.trail)
+            self.qhead = min(self.qhead, limit)
 
     def _decide(self) -> Optional[int]:
         val = self.val

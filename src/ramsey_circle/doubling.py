@@ -2,7 +2,7 @@
 
 The map sends x to 2x, pulled back into (-1, 1) by adding or subtracting 2
 when 2x leaves it; 2x = +-1 exactly is left undefined and treated as an
-error.  The signed jump residues of a uniform colouring, divided by
+error.  The signed jump residues of a uniform colouring, as numerators over
 2^k - 1, form exactly such a closed orbit, and red-copy existence becomes:
 can the orbit be ordered so every prefix sum lies in [0, 1)?
 """
@@ -22,43 +22,49 @@ class DoublingBoundaryError(ValueError):
     """An iterate hit 2x = +-1 exactly, where the map is undefined."""
 
 
-def doubling_step(x: Fraction) -> Fraction:
-    y = 2 * x
-    if y > 1:
-        return y - 2
-    if y < -1:
-        return y + 2
-    if abs(y) == 1:
-        raise DoublingBoundaryError(f"2 * {x} = {y} is on the boundary")
+def _double(num: int, denom: int) -> int:
+    """The numerator over denom of the image of num / denom."""
+    y = 2 * num
+    if y > denom:
+        return y - 2 * denom
+    if y < -denom:
+        return y + 2 * denom
+    if abs(y) == denom:
+        raise DoublingBoundaryError(f"2 * {Fraction(num, denom)} = {y // denom} is on the boundary")
     return y
+
+
+def doubling_step(x: Fraction) -> Fraction:
+    return Fraction(_double(x.numerator, x.denominator), x.denominator)
 
 
 @dataclass(frozen=True)
 class DoublingOrbit:
-    """k reals in (-1, 1), cyclically closed under the doubling map."""
+    """Reals nums[i] / denom in (-1, 1), cyclically closed under the map."""
 
-    xs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    denom: int
 
     def __post_init__(self):
-        xs = tuple(Fraction(x) for x in self.xs)
-        object.__setattr__(self, "xs", xs)
-        if not xs:
+        object.__setattr__(self, "nums", tuple(self.nums))
+        if not self.nums:
             raise ValueError("orbit must be non-empty")
-        if any(abs(x) >= 1 for x in xs):
+        if any(abs(v) >= self.denom for v in self.nums):   # also rejects denom <= 0
             raise ValueError("orbit values must lie strictly inside (-1, 1)")
-        k = len(xs)
+        k = len(self.nums)
         for i in range(k):
-            if doubling_step(xs[i]) != xs[(i + 1) % k]:
+            if _double(self.nums[i], self.denom) != self.nums[(i + 1) % k]:
                 raise ValueError(
-                    f"x_{i + 2} = {xs[(i + 1) % k]} does not follow from "
-                    f"x_{i + 1} = {xs[i]} under the doubling map")
-        if sum(xs) != 0:
+                    f"x_{i + 2} = {self.xs[(i + 1) % k]} does not follow from "
+                    f"x_{i + 1} = {self.xs[i]} under the doubling map")
+        if sum(self.nums) != 0:
             # Forced by closure; a violation means the closure argument fails.
-            raise RefutationError(f"closed orbit {xs} does not sum to 0")
+            raise RefutationError(f"closed orbit {self.xs} does not sum to 0")
 
     @property
-    def k(self) -> int:
-        return len(self.xs)
+    def xs(self) -> tuple[Fraction, ...]:
+        """The orbit values as reduced fractions."""
+        return tuple(Fraction(v, self.denom) for v in self.nums)
 
 
 def orbit_from_seed(x1: Fraction, k: int) -> Optional[DoublingOrbit]:
@@ -68,19 +74,17 @@ def orbit_from_seed(x1: Fraction, k: int) -> Optional[DoublingOrbit]:
         raise ValueError(f"seed {x1} must lie in (-1, 1)")
     if k < 1:
         raise ValueError("k must be >= 1")
-    xs = [x1]
+    nums = [x1.numerator]
     for _ in range(k):
-        xs.append(doubling_step(xs[-1]))
-    if xs[k] != x1:
+        nums.append(_double(nums[-1], x1.denominator))
+    if nums[k] != nums[0]:
         return None
-    return DoublingOrbit(tuple(xs[:k]))
+    return DoublingOrbit(tuple(nums[:k]), x1.denominator)
 
 
 def orbit_from_uniform(k: int, t: int) -> DoublingOrbit:
     """The orbit v_i / (2^k - 1) built from the signed jump residues."""
-    signed = ResidueInstance(k=k, t=t).signed
-    denom = 2**k - 1
-    return DoublingOrbit(tuple(Fraction(v, denom) for v in signed))
+    return DoublingOrbit(ResidueInstance(k=k, t=t).signed, 2**k - 1)
 
 
 def prefix_permutation(xs: Union[DoublingOrbit, Sequence[Fraction]],
@@ -88,15 +92,19 @@ def prefix_permutation(xs: Union[DoublingOrbit, Sequence[Fraction]],
     """The lexicographically least permutation pi (1-based) with every
     prefix sum of x_pi in [0, 1); None when no ordering works.
 
-    Requires the values to sum to exactly 0.  Scaled to integers over their
-    common denominator, this is `uniform.window_order` with that denominator
-    as the window.
+    This is `uniform.window_order` on integer numerators with their
+    denominator as the window, which scales with them.  A plain sequence
+    must sum to exactly 0 and is scaled over its common denominator.
     """
-    values = tuple(Fraction(x) for x in (xs.xs if isinstance(xs, DoublingOrbit) else xs))
-    if not values:
-        raise ValueError("need at least one value")
-    if sum(values) != 0:
-        raise ValueError(f"values must sum to 0, got {sum(values)}")
-    denom = math.lcm(*(x.denominator for x in values))
-    order = window_order(tuple(int(x * denom) for x in values), denom)
+    if isinstance(xs, DoublingOrbit):
+        nums, denom = xs.nums, xs.denom
+    else:
+        values = tuple(Fraction(x) for x in xs)
+        if not values:
+            raise ValueError("need at least one value")
+        if sum(values) != 0:
+            raise ValueError(f"values must sum to 0, got {sum(values)}")
+        denom = math.lcm(*(x.denominator for x in values))
+        nums = tuple(int(x * denom) for x in values)
+    order = window_order(nums, denom)
     return None if order is None else tuple(i + 1 for i in order)

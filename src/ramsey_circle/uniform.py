@@ -12,14 +12,16 @@ partial position stays inside the red residue window {0, ..., 2^k - 2}.
 Because the position after a prefix depends only on the set of jumps used,
 a memoised search over the 2^k subsets, `window_order`, decides this
 without touching k! orderings.  It is the only prefix-window search:
-`doubling.prefix_permutation` scales its orbit to integers and calls it too.
+`doubling.prefix_permutation` calls it too, on the signed jumps themselves
+with 2^k - 1 as the window, since its orbit holds them over that denominator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .core import Colouring, DiscreteInstance, DistanceTuple, RefutationError
@@ -106,20 +108,17 @@ class ResidueInstance:
         """Red residues are exactly {0, ..., window - 1}."""
         return 2 ** self.k - 1
 
-    @property
+    @cached_property
     def jumps(self) -> tuple[int, ...]:
         return tuple((2 ** i * self.t) % self.m for i in range(1, self.k + 1))
 
-    @property
+    @cached_property
     def signed(self) -> tuple[int, ...]:
-        out = []
-        for u in self.jumps:
-            if u == self.window:
-                # Impossible: jumps are even, 2^k - 1 is odd and m is even.
-                raise RefutationError(
-                    f"jump residue {u} equals 2^k - 1 for k={self.k}, t={self.t}")
-            out.append(u if u < self.window else u - self.m)
-        signed = tuple(out)
+        if self.window in self.jumps:
+            # Impossible: jumps are even, 2^k - 1 is odd and m is even.
+            raise RefutationError(
+                f"jump residue {self.window} equals 2^k - 1 for k={self.k}, t={self.t}")
+        signed = tuple(u if u < self.window else u - self.m for u in self.jumps)
         if sum(signed) != 0:
             raise RefutationError(
                 f"signed jumps {signed} do not sum to 0 for k={self.k}, t={self.t}")
@@ -183,20 +182,14 @@ def residue_check(k: int, t: int) -> Optional[ResidueWitness]:
     value sequence, each value taking its lowest unused jump index.
     """
     inst = ResidueInstance(k=k, t=t)
-    signed = inst.signed
-    by_value = sorted(range(k), key=signed.__getitem__)
-    order = window_order(tuple(signed[i] for i in by_value), inst.window)
+    by_value = sorted(range(k), key=inst.signed.__getitem__)
+    order = window_order(tuple(inst.signed[i] for i in by_value), inst.window)
     if order is None:
         return None
     jump_order = tuple(by_value[i] for i in order)
-    jumps, m = inst.jumps, inst.m   # properties: each read rebuilds the residues
-    positions = []
-    pos = 0
-    for i in jump_order:
-        pos = (pos + jumps[i]) % m
-        positions.append(pos)
+    positions = tuple(p % inst.m for p in accumulate(inst.jumps[i] for i in jump_order))
     return ResidueWitness(start_residue=0, jump_order=jump_order,
-                          positions=tuple(positions), instance=inst)
+                          positions=positions, instance=inst)
 
 
 def _uniform_discretization(d: DistanceTuple, t: int) -> tuple[Colouring, DiscreteInstance]:

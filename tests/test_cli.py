@@ -1,15 +1,20 @@
 """CLI dispatch, exit codes, JSON stability, and the batch runner."""
 
 import concurrent.futures
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _reference import run_sweep_item_in_subprocess
+from _reference import prefix_order, run_sweep_item_in_subprocess
 from ramsey_circle.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK,
                                EXIT_REFUTATION, dispatch)
+from ramsey_circle.uniform import ResidueInstance
 
 SWEEP_DIR = Path(__file__).resolve().parent.parent / "sweeps"
 
@@ -156,6 +161,47 @@ def test_doubling_from_kt(capsys):
     assert code == EXIT_OK
     assert body["permutation"] == [1, 2, 3]
     assert body["xs"] == ["2/7", "4/7", "-6/7"]
+
+
+@pytest.mark.parametrize("k, t, xs", [
+    (4, 5, ["2/3", "-2/3", "2/3", "-2/3"]),
+    (3, 7, ["0", "0", "0"]),
+])
+def test_doubling_prints_reduced_orbit(capsys, k, t, xs):
+    code, body = run_json(capsys, ["doubling", "--k", str(k), "--t", str(t)])
+    assert code == EXIT_OK
+    assert body["xs"] == xs
+
+
+small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(0, 8), t=st.integers(-2, 600),
+       xs=st.lists(small_fraction, min_size=1, max_size=6),
+       balance=st.booleans(), by_orbit=st.booleans())
+def test_doubling_random_inputs(k, t, xs, balance, by_orbit):
+    if balance:
+        xs = xs + [-sum(xs)]
+    argv = (["--k", str(k), "--t", str(t)] if by_orbit
+            else ["--xs=" + ",".join(map(str, xs))])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dispatch(["--json", "doubling", *argv])
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_ERROR)
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if code == EXIT_ERROR:
+        return
+    body = json.loads(out.getvalue())
+    if by_orbit:
+        values = [F(v, 2**k - 1) for v in ResidueInstance(k=k, t=t).signed]
+        assert body["xs"] == [str(x) for x in values]
+    else:
+        values = xs
+    pi = prefix_order(values)
+    assert body["permutation"] == (list(pi) if pi else None)
+    assert code == (EXIT_OK if pi else EXIT_NEGATIVE)
 
 
 def test_doubling_counterexample(capsys):

@@ -46,11 +46,17 @@ def test_orbit_boundary_error():
 
 
 def test_orbit_validation_rejects_bad_sequences():
-    with pytest.raises(ValueError):
-        DoublingOrbit((F(1, 3), F(1, 3), F(1, 3)))
+    with pytest.raises(ValueError, match="does not follow"):
+        DoublingOrbit((1, 1, 1), 3)
+    with pytest.raises(ValueError, match="strictly inside"):
+        DoublingOrbit((3, -3), 3)
+    with pytest.raises(ValueError, match="strictly inside"):
+        DoublingOrbit((0,), 0)
 
 
 def test_orbit_from_uniform_examples():
+    assert orbit_from_uniform(4, 5).nums == (10, -10, 10, -10)
+    assert orbit_from_uniform(4, 5).denom == 15
     assert orbit_from_uniform(3, 1).xs == (F(2, 7), F(4, 7), F(-6, 7))
     assert orbit_from_uniform(3, 7).xs == (F(0), F(0), F(0))
     assert orbit_from_uniform(4, 1).xs == (F(2, 15), F(4, 15), F(8, 15), F(-14, 15))

@@ -207,6 +207,37 @@ def test_learnt_clauses_follow_by_reverse_unit_propagation(seed):
     assert _propagates_to_conflict(known, [])   # and then the empty clause
 
 
+class _RestartProbe(Solver):
+    """Counts restarts entered with trail literals still to propagate, and
+    those among them whose backjump skipped the literals."""
+
+    def __init__(self, num_vars, clauses):
+        self.pending_restarts = self.skipped = 0
+        super().__init__(num_vars, clauses)
+
+    def _backjump(self, level):
+        # a conflict backjumps from above level 0, so this is a restart
+        pending = not self.trail_lim and self.qhead < len(self.trail)
+        qhead = self.qhead
+        super()._backjump(level)
+        if pending:
+            self.pending_restarts += 1
+            self.skipped += self.qhead != qhead
+
+
+def test_restart_keeps_learnt_unit_for_propagation():
+    # random 3-SAT at clause ratio 4.26; formula #173 learns a unit on the
+    # last conflict of a restart budget, so the restart meets it unpropagated
+    rng = random.Random(5)
+    for _ in range(174):
+        nv = rng.randint(90, 140)
+        clauses = [[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), 3)]
+                   for _ in range(int(4.26 * nv))]
+    solver = _RestartProbe(nv, clauses)
+    solver.solve()
+    assert (nv, solver.pending_restarts, solver.skipped) == (136, 1, 0)
+
+
 def test_bundled_solver_counters_on_k4(tmp_path):
     # the search of the bundled solver on the k = 4 formula; a change to
     # these counts is a change to the search, not only to its speed
