@@ -30,12 +30,12 @@ import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import beatty, doubling, majority as majority_mod, robust, satgen, uniform
 from .core import (DiscreteInstance, DistanceTuple, ParseError,
-                   RefutationError, discretize, parse_colouring,
-                   parse_fraction, parse_fraction_list, serialize_colouring)
+                   RefutationError, parse_colouring, parse_fraction,
+                   parse_fraction_list, serialize_colouring)
 from .detector import CopyWitness, count_copies, detect_bruteforce, detect_dp
 
 EXIT_OK = 0
@@ -69,26 +69,17 @@ def _witness_payload(w: CopyWitness) -> dict:
             "colour": w.colour}
 
 
-def _parse_gaps(text: str, n: Optional[int] = None) -> DiscreteInstance:
-    """Gaps given either as integers (direct) or fractions (discretised).
-
-    With n given, a fractional tuple is scaled to match it; integer gaps
-    must already sum to it.
-    """
+def _parse_gaps(text: str, n: int) -> DiscreteInstance:
+    """Gaps on Z_n given either as integers, which must sum to n, or as a
+    fractional tuple, which is scaled onto Z_n."""
     fractions = parse_fraction_list(text)
     if all(f.denominator == 1 for f in fractions):
         gaps = tuple(int(f) for f in fractions)
         inst = DiscreteInstance(n=sum(gaps), gaps=gaps)
-        if n is not None and inst.n != n:
+        if inst.n != n:
             raise ValueError(f"gaps sum to {inst.n} but the colouring has n={n}")
         return inst
-    d = DistanceTuple(fractions)
-    base = d.lcm_denominator()
-    if n is None:
-        return discretize(d)
-    if n % base:
-        raise ValueError(f"colouring size {n} is not a multiple of lcm denominator {base}")
-    return discretize(d, n // base)
+    return DistanceTuple(fractions).on(n)
 
 
 def _parse_distance_tuple(text: str) -> DistanceTuple:
@@ -112,7 +103,7 @@ def _read_restriction(path: str) -> list[tuple[int, ...]]:
 
 def _cmd_check(cfg: RunConfig, args) -> int:
     c = parse_colouring(Path(args.input).read_text(encoding="utf-8"))
-    inst = _parse_gaps(args.gaps, n=c.n)
+    inst = _parse_gaps(args.gaps, c.n)
     restriction = _read_restriction(args.restrict) if args.restrict else None
     if args.count:
         red, blue = count_copies(c, inst)
@@ -262,7 +253,7 @@ def _cmd_suitable(cfg: RunConfig, args) -> int:
                "suitable": suitable}
     human = [f"t = {args.t} suitable: {suitable}"]
     if d.k == 3:
-        strong = suitable and robust.is_strongly_suitable(d, args.t)
+        strong = suitable and robust.parity_allows(d, args.t)
         payload["strongly_suitable"] = strong
         human.append(f"strongly suitable: {strong}")
     _emit(cfg, payload, human)

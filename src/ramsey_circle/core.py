@@ -20,7 +20,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -103,6 +103,10 @@ class DistanceTuple:
     def lcm_denominator(self) -> int:
         return math.lcm(*self.denominators)
 
+    def on(self, n: int) -> "DiscreteInstance":
+        """The tuple scaled onto Z_n; n must be a multiple of every denominator."""
+        return DiscreteInstance(n=n, gaps=grid_units(self.distances, n))
+
     def is_power(self) -> bool:
         return self == power_tuple(self.k)
 
@@ -138,13 +142,36 @@ def power_tuple(k: int) -> DistanceTuple:
     return DistanceTuple(tuple(Fraction(2**(k - i), denom) for i in range(1, k + 1)))
 
 
+#: Largest grid Z_n a continuous colouring is realised on; a larger one is
+#: refused before any work.
+GRID_LIMIT = 10_000_000
+
+
+def common_grid(*denominators: int) -> int:
+    """The least grid all the denominators divide, refused above GRID_LIMIT."""
+    grid = math.lcm(*denominators)
+    if grid > GRID_LIMIT:
+        raise ValueError(f"grid {grid} is above the limit {GRID_LIMIT}; "
+                         "choose fractions with smaller denominators")
+    return grid
+
+
+def grid_units(values: Iterable[Fraction], n: int) -> tuple[int, ...]:
+    """Each exact rational v as v * n steps of Z_n; n must be a multiple of
+    every denominator, so nothing is rounded."""
+    units = []
+    for v in values:
+        if n % v.denominator:
+            raise ValueError(f"{v} does not fit Z_{n}: {n} is not a multiple of {v.denominator}")
+        units.append(v.numerator * (n // v.denominator))
+    return tuple(units)
+
+
 def discretize(d: DistanceTuple, multiplier: int = 1) -> DiscreteInstance:
     """Scale a rational tuple onto Z_n with n = lcm(denominators) * multiplier."""
     if multiplier < 1:
         raise ValueError("multiplier must be a positive integer")
-    n = d.lcm_denominator() * multiplier
-    gaps = tuple(int(di * n) for di in d.distances)
-    return DiscreteInstance(n=n, gaps=gaps)
+    return d.on(d.lcm_denominator() * multiplier)
 
 
 def _validate_mask(n: int, mask: int) -> None:
@@ -180,6 +207,24 @@ class Colouring:
             elif ch != "B":
                 raise ValueError(f"invalid colour character {ch!r}")
         return cls(n=len(chars), red_mask=mask, black=black)
+
+    @classmethod
+    def from_arcs(cls, arcs: Sequence[int], repeat: int = 1) -> "Colouring":
+        """Arcs of the given lengths from vertex 0, alternately red and blue,
+        the pattern laid `repeat` times: each shift-or doubles the copies, so
+        the shifted sizes sum to under 2n bits whatever `repeat` is."""
+        if not arcs or any(a < 1 for a in arcs) or repeat < 1:
+            raise ValueError(f"need positive arc lengths and repeat, got {tuple(arcs)} x {repeat}")
+        mask = laid = 0
+        for j, length in enumerate(arcs):
+            if j % 2 == 0:
+                mask |= ((1 << length) - 1) << laid
+            laid += length
+        n = laid * repeat
+        while laid < n:
+            mask |= mask << laid
+            laid *= 2
+        return cls(n=n, red_mask=mask & ((1 << n) - 1))
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "Colouring":

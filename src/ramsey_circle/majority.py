@@ -5,23 +5,20 @@ class is denser by exactly 1/8 - 10 eps yet contains no red copy of the
 k-part doubling tuple.  The construction splits the circle into ten
 intervals with lengths drawn from {1/16 - eps, 1/16 + eps, 1/8 - eps,
 1/8 + eps}, coloured alternately starting red, each interval containing
-its clockwise endpoint.  `majority_verify` discretises it exactly and
-decides whether the red class holds a copy with the detector's kernel.
+its clockwise endpoint.  `majority_verify` realises it exactly on the
+least grid holding the intervals and the tuple (`core.common_grid`, refused
+above `core.GRID_LIMIT`) and decides whether the red class holds a copy
+with the detector's kernel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Colouring
+from .core import Colouring, common_grid, grid_units, power_tuple
 from .detector import CopyWitness, find_copy_in_class
-
-# Largest discretisation the verifier will attempt before asking for an
-# eps with smaller denominator.
-_GRID_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -59,22 +56,7 @@ def majority_colouring(params: MajorityParams, grid: int) -> Colouring:
 
     grid must be a common multiple of all interval-endpoint denominators.
     """
-    lengths = interval_lengths(params.eps)
-    units = []
-    for length in lengths:
-        u = length * grid
-        if u.denominator != 1:
-            raise ValueError(f"grid {grid} does not discretise interval length {length}")
-        units.append(int(u))
-    mask = 0
-    start = 0
-    for j, u in enumerate(units):
-        end = start + u
-        if j % 2 == 0:
-            mask |= (1 << end) - (1 << start)
-        start = end
-    assert start == grid
-    return Colouring(n=grid, red_mask=mask)
+    return Colouring.from_arcs(grid_units(interval_lengths(params.eps), grid))
 
 
 @dataclass(frozen=True)
@@ -85,21 +67,11 @@ class MajorityVerdict:
     density_gap: Fraction
 
 
-def _grid_for(params: MajorityParams) -> int:
-    length_denoms = math.lcm(*(length.denominator for length in interval_lengths(params.eps)))
-    grid = math.lcm(length_denoms, 2 ** params.k - 1)
-    if grid > _GRID_LIMIT:
-        raise ValueError(
-            f"grid {grid} too large to discretise; choose an eps with a smaller denominator")
-    return grid
-
-
 def _red_instance(params: MajorityParams) -> tuple[Colouring, tuple[int, ...]]:
-    """The discretised colouring and the doubling gaps scaled to its grid."""
-    grid = _grid_for(params)
-    scale = grid // (2 ** params.k - 1)
-    gaps = tuple(2 ** (params.k - 1 - i) * scale for i in range(params.k))
-    return majority_colouring(params, grid), gaps
+    """The colouring on its least grid and the doubling gaps scaled to it."""
+    lengths = interval_lengths(params.eps)
+    grid = common_grid(*(length.denominator for length in lengths), 2 ** params.k - 1)
+    return majority_colouring(params, grid), power_tuple(params.k).on(grid).gaps
 
 
 def majority_verify(params: MajorityParams) -> MajorityVerdict:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Colouring, DiscreteInstance, DistanceTuple
+from .core import Colouring, DistanceTuple
 from .detector import _copy_table
-from .uniform import uniform_contains_mono_copy
+from .uniform import jump_counts, uniform_contains_mono_copy
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,17 @@ def is_suitable(d: DistanceTuple, t: int) -> bool:
     return not uniform_contains_mono_copy(d, t)
 
 
-def _odd_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x.numerator % 2 == 1
+def parity_allows(d: DistanceTuple, t: int) -> bool:
+    """The parity half of strong suitability: no 2 t d_i is an odd integer,
+    that is, no t d_i is a half-integer, which is what blocks a jump count."""
+    if d.k != 3:
+        raise ValueError(f"strong suitability is defined for triples, got k = {d.k}")
+    return not jump_counts(d, t).blocked
 
 
 def is_strongly_suitable(d: DistanceTuple, t: int) -> bool:
     """Suitable, and no 2 t d_i is an odd integer."""
-    if d.k != 3:
-        raise ValueError(f"strong suitability is defined for triples, got k = {d.k}")
-    if any(_odd_integer(2 * t * di) for di in d.distances):
-        return False
-    return is_suitable(d, t)
+    return parity_allows(d, t) and is_suitable(d, t)
 
 
 def strongly_suitable_search(d: DistanceTuple, max_t: int) -> Optional[int]:
@@ -120,14 +120,7 @@ def nearly_ramsey_finite_check(d: DistanceTuple, N: int) -> FiniteCheckResult:
     """
     if d.k != 3:
         raise ValueError(f"finite check is defined for triples, got k = {d.k}")
-    gaps = []
-    for di in d.distances:
-        g = di * N
-        if g.denominator != 1:
-            raise ValueError(f"distance {di} does not fit Z_{N}")
-        gaps.append(int(g))
-    inst = DiscreteInstance(n=N, gaps=tuple(gaps))
-    masks = [entry[3] for entry in _copy_table(N, inst.gaps)]
+    masks = [entry[3] for entry in _copy_table(N, d.on(N).gaps)]
     full_rest = (1 << N) - 2   # vertices 1..N-1
     for bits in range(1 << (N - 1)):
         red = bits << 1

@@ -3,7 +3,9 @@
 The uniform colouring with parameter t splits the circle into 2t equal
 arcs coloured alternately red and blue, each arc containing its clockwise
 endpoint.  Rotating it by one arc swaps the colours, so it contains a
-monochromatic copy of a tuple iff it contains a red one.
+monochromatic copy of a tuple iff it contains a red one.  Questions about
+c_t are answered on the least grid holding its arcs and the tuple,
+`core.common_grid`, which refuses grids above `core.GRID_LIMIT`.
 
 For the doubling tuple on the grid 2t(2^k - 1), reducing vertex indices
 modulo 2^(k+1) - 2 turns red-copy existence into a purely arithmetic
@@ -18,13 +20,12 @@ with 2^k - 1 as the window, since its orbit holds them over that denominator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .core import Colouring, DiscreteInstance, DistanceTuple, RefutationError
+from .core import Colouring, DistanceTuple, RefutationError, common_grid
 from .detector import find_copy_in_class
 
 
@@ -38,11 +39,7 @@ def uniform_colouring(t: int, grid: int) -> Colouring:
     if grid < 1 or grid % (2 * t):
         raise ValueError(f"grid {grid} is not a positive multiple of 2t = {2 * t}")
     block = grid // (2 * t)
-    red_block = (1 << block) - 1
-    mask = 0
-    for b in range(0, 2 * t, 2):
-        mask |= red_block << (b * block)
-    return Colouring(n=grid, red_mask=mask)
+    return Colouring.from_arcs((block, block), repeat=t)
 
 
 @dataclass(frozen=True)
@@ -192,17 +189,12 @@ def residue_check(k: int, t: int) -> Optional[ResidueWitness]:
                           positions=positions, instance=inst)
 
 
-def _uniform_discretization(d: DistanceTuple, t: int) -> tuple[Colouring, DiscreteInstance]:
-    grid = math.lcm(2 * t, d.lcm_denominator())
-    gaps = tuple(int(di * grid) for di in d.distances)
-    return uniform_colouring(t, grid), DiscreteInstance(n=grid, gaps=gaps)
-
-
 def uniform_contains_mono_copy(d: DistanceTuple, t: int) -> bool:
-    """Whether the discretised uniform colouring c_t contains a
-    monochromatic copy of d; by colour-swap symmetry, checking red suffices."""
-    c, inst = _uniform_discretization(d, t)
-    return find_copy_in_class(c.red_mask, inst.n, inst.gaps) is not None
+    """Whether c_t contains a monochromatic copy of d, on the least grid
+    holding both; by colour-swap symmetry, checking red suffices."""
+    grid = common_grid(2 * t, *d.denominators)
+    red = uniform_colouring(t, grid).red_mask
+    return find_copy_in_class(red, grid, d.on(grid).gaps) is not None
 
 
 def nonpower_witness(d: DistanceTuple, max_t: int) -> Optional[int]:

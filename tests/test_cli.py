@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from _reference import prefix_order, run_sweep_item_in_subprocess
 from ramsey_circle.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK,
@@ -220,6 +220,45 @@ def test_suitable(capsys):
     assert code == EXIT_NEGATIVE
 
 
+def test_suitable_queries_the_kernel_once(capsys, monkeypatch):
+    # the strong verdict reuses the suitability verdict: one class query
+    import ramsey_circle.uniform as umod
+    calls = []
+    kernel = umod.find_copy_in_class
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(umod, "find_copy_in_class", counted)
+    code = dispatch(["--json", "suitable", "--gaps", "1/3,1/3,1/3", "--t", "1"])
+    assert code == EXIT_OK and len(calls) == 1
+    assert capsys.readouterr().out == (
+        '{"command": "suitable", "gaps": ["1/3", "1/3", "1/3"], "schema": 1, '
+        '"strongly_suitable": true, "suitable": true, "t": 1}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ["majority", "--k", "6", "--eps", "1000003/100000000"],   # grid 6300000000
+    ["suitable", "--gaps", "1/2,1/3,1/6", "--t", "6000000"],   # grid 12000000
+])
+def test_grid_above_the_budget_is_refused_before_any_work(capsys, monkeypatch, argv):
+    import ramsey_circle.majority as mmod
+    import ramsey_circle.uniform as umod
+
+    def never(*args):
+        raise AssertionError("the kernel ran on a refused grid")
+
+    monkeypatch.setattr(umod, "find_copy_in_class", never)
+    monkeypatch.setattr(mmod, "find_copy_in_class", never)
+    for json_flag in ([], ["--json"]):
+        assert dispatch([*json_flag, *argv]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: grid "), lines
+
+
 def test_suitable_search_t_empty(capsys):
     code, body = run_json(capsys, ["suitable-search", "--gaps", "1/2,1/3,1/6",
                                    "--max-t", "50"])
@@ -256,6 +295,77 @@ def test_majority(capsys, tmp_path):
 
 def test_majority_bad_eps_is_usage_error():
     assert dispatch(["majority", "--k", "5", "--eps", "1/100"]) == EXIT_ERROR
+
+
+denominator = st.one_of(st.integers(1, 60), st.integers(1, 10**9))
+
+
+@st.composite
+def fraction_list(draw, q):
+    """Mostly distance tuples over the common denominator q, so the reduced
+    denominators differ; sometimes too short, unsorted or unbalanced."""
+    k = draw(st.sampled_from([3, 3, 4, 5, 1, 2]))
+    if q > k:
+        cuts = sorted(draw(st.lists(st.integers(1, q - 1), min_size=k - 1,
+                                    max_size=k - 1, unique=True)))
+        nums = sorted((b - a for a, b in zip([0, *cuts], [*cuts, q])), reverse=True)
+    else:
+        nums = [1] * k
+    if draw(st.integers(0, 3)) == 3:
+        nums = draw(st.permutations(nums))
+    if draw(st.integers(0, 3)) == 3:
+        nums[0] += draw(st.integers(-q, q))
+    return ",".join(str(F(p, q)) for p in nums)
+
+
+@st.composite
+def dispatch_argv(draw, colouring_dir):
+    command = draw(st.sampled_from(["suitable", "suitable-search", "witness-search",
+                                    "majority", "check", "nearly-ramsey"]))
+    t = str(draw(st.integers(-1, 50)))
+    if command == "majority":
+        # near 1/r for r around the eps window (1/126, 1/80) of k = 6
+        q = draw(denominator)
+        eps = F(q // draw(st.integers(60, 140)) + draw(st.integers(-1, 1)), q)
+        k = draw(st.sampled_from([6, 7, 6, 8, 9, 5, 0]))
+        return [command, "--k", str(k), "--eps", str(eps)]
+    n = draw(st.integers(1, 14))
+    # the grid commands fit a tuple over n only if n is a multiple of q
+    gaps = draw(fraction_list(draw(st.one_of(st.just(n), denominator))))
+    if command == "suitable":
+        return [command, "--gaps", gaps, "--t", t]
+    if command in ("suitable-search", "witness-search"):
+        return [command, "--gaps", gaps, "--max-t", t]
+    if command == "nearly-ramsey":
+        return [command, "--gaps", gaps, "--n", str(n)]
+    colours = "".join(draw(st.lists(st.sampled_from("RB"), min_size=n, max_size=n)))
+    path = colouring_dir / f"{colours}.txt"
+    path.write_text(f"{n}\n{colours}\n", encoding="utf-8")
+    flags = draw(st.sampled_from([[], ["--dp"], ["--brute"], ["--count"]]))
+    return [command, "--input", str(path), "--gaps", gaps, *flags]
+
+
+@pytest.fixture(scope="module")
+def colouring_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("colourings")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dispatch_random_fractional_inputs(colouring_dir, data):
+    argv = data.draw(dispatch_argv(colouring_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dispatch(["--json", *argv])
+    event(f"{argv[0]} exit {code}")
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if code == EXIT_ERROR:
+        assert out.getvalue() == ""
+    else:
+        body = json.loads(out.getvalue())
+        assert body["command"] == argv[0]
 
 
 def test_cnf_to_stdout(capsys):

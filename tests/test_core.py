@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsey_circle.core import (Colouring, DiscreteInstance, DistanceTuple,
-                                ParseError, discretize, parse_colouring,
+from ramsey_circle.core import (GRID_LIMIT, Colouring, DiscreteInstance,
+                                DistanceTuple, ParseError, common_grid,
+                                discretize, grid_units, parse_colouring,
                                 parse_fraction, parse_fraction_list,
                                 power_tuple, serialize_colouring)
 
@@ -49,6 +50,71 @@ def test_discretize_multiplier():
 def test_discretize_mixed_denominators():
     inst = discretize(DistanceTuple((F(1, 2), F(1, 3), F(1, 6))))
     assert (inst.n, inst.gaps) == (6, (3, 2, 1))
+
+
+def random_tuple(rng):
+    """A random distance tuple whose reduced denominators differ."""
+    k = rng.randint(3, 6)
+    q = rng.randint(k, 60)
+    cuts = sorted(rng.sample(range(1, q), k - 1))
+    parts = sorted((b - a for a, b in zip([0, *cuts], [*cuts, q])), reverse=True)
+    return DistanceTuple(tuple(F(p, q) for p in parts))
+
+
+def test_on_matches_exact_scaling_and_refuses_misfits():
+    # the integer scaling against int(d_i * n) on exact fractions; an n that
+    # some denominator does not divide is refused, never rounded
+    rng = random.Random(11)
+    fitted = refused = 0
+    for _ in range(400):
+        d = random_tuple(rng)
+        lcm = d.lcm_denominator()
+        n = rng.choice((lcm * rng.randint(1, 3), rng.randint(1, 3 * lcm)))
+        if any(n % q for q in d.denominators):
+            with pytest.raises(ValueError):
+                d.on(n)
+            refused += 1
+            continue
+        inst = d.on(n)
+        assert (inst.n, inst.gaps) == (n, tuple(int(x * n) for x in d.distances))
+        assert grid_units(d.distances, n) == inst.gaps
+        fitted += 1
+        assert discretize(d, n // lcm) == inst
+    assert fitted >= 100 and refused >= 100
+
+
+def test_common_grid_is_the_lcm_within_the_budget():
+    assert common_grid(6, 4, 2**6 - 1) == 252
+    assert common_grid(2 * 5_000_000, 5) == GRID_LIMIT
+    for over in ((GRID_LIMIT + 1,), (2 * 6_000_000, 6), (16 * 100_000_000, 63)):
+        with pytest.raises(ValueError, match="above the limit"):
+            common_grid(*over)
+
+
+def arc_colour(arcs, v):
+    """Per-vertex definition: v is red iff the arc holding it, counted in
+    its copy of the pattern, has an even index."""
+    offset = v % sum(arcs)
+    for j, length in enumerate(arcs):
+        if offset < length:
+            return j % 2 == 0
+        offset -= length
+
+
+def test_from_arcs_matches_the_per_vertex_definition():
+    rng = random.Random(19)
+    for _ in range(300):
+        arcs = [rng.randint(1, 9) for _ in range(rng.randint(1, 10))]
+        repeat = rng.choice((1, rng.randint(2, 40)))
+        c = Colouring.from_arcs(arcs, repeat)
+        assert c.n == sum(arcs) * repeat and c.black is None
+        assert [c.is_red(v) for v in range(c.n)] == [arc_colour(arcs, v) for v in range(c.n)]
+
+
+@pytest.mark.parametrize("arcs, repeat", [((), 1), ((3, 0, 2), 1), ((2, -1), 1), ((2, 2), 0)])
+def test_from_arcs_refuses_bad_arcs_and_repeat(arcs, repeat):
+    with pytest.raises(ValueError):
+        Colouring.from_arcs(arcs, repeat)
 
 
 @pytest.mark.parametrize("k", range(3, 11))

@@ -1,5 +1,8 @@
 """The ten-interval denser-red construction and its red-copy check."""
 
+import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -63,6 +66,29 @@ def test_colouring_starts_red_and_alternates():
         assert c.is_red(pos) == (j % 2 == 0)
         assert c.is_red(pos + u - 1) == (j % 2 == 0)
         pos += u
+
+
+def test_colouring_matches_the_per_vertex_definition():
+    # vertex v is red iff the interval holding v / grid has an even index,
+    # the intervals taken as exact fractions
+    rng = random.Random(37)
+    checked = 0
+    while checked < 40:
+        k = rng.randint(6, 8)
+        eps = F(rng.randint(1, 40), rng.randint(100, 4000))
+        try:
+            params = MajorityParams(k, eps)
+        except ValueError:
+            continue
+        lengths = interval_lengths(eps)
+        grid = math.lcm(*(x.denominator for x in lengths)) * rng.randint(1, 3)
+        ends = list(itertools.accumulate(lengths))
+        c = majority_colouring(params, grid)
+        assert c.n == grid
+        for v in rng.sample(range(grid), min(grid, 500)):
+            j = next(j for j, end in enumerate(ends) if F(v, grid) < end)
+            assert c.is_red(v) == (j % 2 == 0), (k, eps, grid, v)
+        checked += 1
 
 
 def test_colouring_needs_compatible_grid():

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from _reference import prefix_order
-from ramsey_circle.core import DistanceTuple, RefutationError, power_tuple
+from ramsey_circle.core import (DistanceTuple, RefutationError, common_grid,
+                                power_tuple)
 from ramsey_circle.detector import detect_dp
 from ramsey_circle.uniform import (ResidueInstance, jump_counts,
                                    nonpower_witness, residue_check,
@@ -25,6 +26,20 @@ def test_uniform_colouring_blocks_of_two():
 
 def test_uniform_colouring_alternating():
     assert uniform_colouring(3, 6).to_string() == "RBRBRB"
+
+
+def test_uniform_colouring_matches_the_per_vertex_definition():
+    # vertex v is red iff floor(v * 2t / grid) is even; the large cases are
+    # sampled, and lay millions of blocks
+    rng = random.Random(29)
+    cases = [(t, 2 * t * rng.randint(1, 12)) for t in rng.sample(range(1, 80), 60)]
+    cases += [(3_000_000, 6_000_000), (1_000_003, 2_000_006 * 3), (2, 4_000_000)]
+    for t, grid in cases:
+        c = uniform_colouring(t, grid)
+        assert c.n == grid
+        vertices = range(grid) if grid < 5000 else rng.sample(range(grid), 1000)
+        for v in vertices:
+            assert c.is_red(v) == (v * 2 * t // grid % 2 == 0), (t, grid, v)
 
 
 def test_uniform_colouring_needs_divisibility():
@@ -142,14 +157,19 @@ def test_window_order_is_the_least_index_sequence():
     assert found >= 100 and missing >= 100 and repeated >= 200
 
 
+def uniform_instance(d, t):
+    """c_t and d on the least grid holding both, built from public pieces."""
+    grid = common_grid(2 * t, *d.denominators)
+    return uniform_colouring(t, grid), d.on(grid)
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_residue_check_agrees_with_detector(k):
-    from ramsey_circle.uniform import _uniform_discretization
     d = power_tuple(k)
     for t in range(1, 13):
         found = residue_check(k, t) is not None
         assert found == uniform_contains_mono_copy(d, t)
-        c, inst = _uniform_discretization(d, t)
+        c, inst = uniform_instance(d, t)
         w = detect_dp(c, inst)
         assert found == (w is not None)
         if w is not None:
@@ -161,14 +181,13 @@ def test_uniform_search_with_repeated_gaps_matches_full_detector():
     # repeated gaps go through the same kernel as distinct ones; the
     # brute-force detector is the oracle
     from ramsey_circle.detector import detect_bruteforce
-    from ramsey_circle.uniform import _uniform_discretization
     tuples = [DistanceTuple((F(1, 3), F(1, 3), F(1, 3))),
               DistanceTuple((F(1, 2), F(1, 4), F(1, 4))),
               DistanceTuple((F(2, 5), F(2, 5), F(1, 5))),
               DistanceTuple((F(3, 7), F(2, 7), F(2, 7)))]
     for d in tuples:
         for t in range(1, 13):
-            c, inst = _uniform_discretization(d, t)
+            c, inst = uniform_instance(d, t)
             assert uniform_contains_mono_copy(d, t) == \
                 (detect_bruteforce(c, inst) is not None), (d.distances, t)
 
