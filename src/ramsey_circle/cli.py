@@ -46,6 +46,10 @@ EXIT_UNKNOWN = 4
 
 SCHEMA = 1
 
+#: Largest --max-t a sweep over t accepts; each t costs at most one window
+#: search over 2^k subsets, so a larger sweep is refused before any work.
+MAX_T = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -84,6 +88,12 @@ def _parse_gaps(text: str, n: int) -> DiscreteInstance:
 
 def _parse_distance_tuple(text: str) -> DistanceTuple:
     return DistanceTuple(parse_fraction_list(text))
+
+
+def _max_t(args) -> int:
+    if args.max_t > MAX_T:
+        raise ValueError(f"--max-t {args.max_t} is above the limit {MAX_T}")
+    return args.max_t
 
 
 def _read_restriction(path: str) -> list[tuple[int, ...]]:
@@ -127,10 +137,8 @@ def _cmd_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_uniform_check(cfg: RunConfig, args) -> int:
-    failures = []
-    for t in range(1, args.max_t + 1):
-        if uniform.residue_check(args.k, t) is None:
-            failures.append(t)
+    failures = [t for t in range(1, _max_t(args) + 1)
+                if uniform.residue_check(args.k, t) is None]
     payload = {"k": args.k, "max_t": args.max_t, "failures": failures}
     if failures:
         _emit(cfg, payload,
@@ -143,7 +151,7 @@ def _cmd_uniform_check(cfg: RunConfig, args) -> int:
 
 def _cmd_witness_search(cfg: RunConfig, args) -> int:
     d = _parse_distance_tuple(args.gaps)
-    t = uniform.nonpower_witness(d, args.max_t)
+    t = uniform.nonpower_witness(d, _max_t(args))
     payload = {"gaps": [str(x) for x in d.distances], "max_t": args.max_t, "t": t}
     if t is None:
         _emit(cfg, payload, [f"none (no witness t <= {args.max_t})"])
@@ -263,7 +271,7 @@ def _cmd_suitable(cfg: RunConfig, args) -> int:
 def _cmd_suitable_search(cfg: RunConfig, args) -> int:
     d = _parse_distance_tuple(args.gaps)
     analysis = robust.TripleAnalysis(d)
-    t = robust.strongly_suitable_search(d, args.max_t)
+    t = robust.strongly_suitable_search(d, _max_t(args))
     payload = {"gaps": [str(x) for x in d.distances], "max_t": args.max_t,
                "t": t, "t_set_empty": analysis.t_set_empty}
     if t is not None:

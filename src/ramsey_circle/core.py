@@ -181,6 +181,9 @@ def _validate_mask(n: int, mask: int) -> None:
         raise ValueError(f"colour mask does not fit {n} vertices")
 
 
+_BITS_TO_COLOURS = str.maketrans("01", "BR")
+
+
 @dataclass(frozen=True)
 class Colouring:
     """A two-colouring of Z_n. Bit v of red_mask set means vertex v is Red.
@@ -209,22 +212,16 @@ class Colouring:
         return cls(n=len(chars), red_mask=mask, black=black)
 
     @classmethod
-    def from_arcs(cls, arcs: Sequence[int], repeat: int = 1) -> "Colouring":
-        """Arcs of the given lengths from vertex 0, alternately red and blue,
-        the pattern laid `repeat` times: each shift-or doubles the copies, so
-        the shifted sizes sum to under 2n bits whatever `repeat` is."""
-        if not arcs or any(a < 1 for a in arcs) or repeat < 1:
-            raise ValueError(f"need positive arc lengths and repeat, got {tuple(arcs)} x {repeat}")
+    def from_arcs(cls, arcs: Sequence[int]) -> "Colouring":
+        """Arcs of the given lengths from vertex 0, alternately red and blue."""
+        if not arcs or any(a < 1 for a in arcs):
+            raise ValueError(f"need positive arc lengths, got {tuple(arcs)}")
         mask = laid = 0
         for j, length in enumerate(arcs):
             if j % 2 == 0:
                 mask |= ((1 << length) - 1) << laid
             laid += length
-        n = laid * repeat
-        while laid < n:
-            mask |= mask << laid
-            laid *= 2
-        return cls(n=n, red_mask=mask & ((1 << n) - 1))
+        return cls(n=laid, red_mask=mask)
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "Colouring":
@@ -237,7 +234,8 @@ class Colouring:
         return "R" if self.is_red(v) else "B"
 
     def to_string(self) -> str:
-        return "".join(self.colour_char(v) for v in range(self.n))
+        # one binary formatting of the mask, vertex 0 first: linear in n
+        return format(self.red_mask, f"0{self.n}b")[::-1].translate(_BITS_TO_COLOURS)
 
     @property
     def full_mask(self) -> int:

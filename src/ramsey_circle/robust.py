@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Colouring, DistanceTuple
+from .core import Colouring, DistanceTuple, discretize
 from .detector import _copy_table
-from .uniform import jump_counts, uniform_contains_mono_copy
+from .uniform import uniform_contains_mono_copy, uniform_steps
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,10 @@ def is_suitable(d: DistanceTuple, t: int) -> bool:
 
 def parity_allows(d: DistanceTuple, t: int) -> bool:
     """The parity half of strong suitability: no 2 t d_i is an odd integer,
-    that is, no t d_i is a half-integer, which is what blocks a jump count."""
+    that is, no t d_i is a half-integer, which is what blocks a step."""
     if d.k != 3:
         raise ValueError(f"strong suitability is defined for triples, got k = {d.k}")
-    return not jump_counts(d, t).blocked
+    return uniform_steps(discretize(d).gaps, t) is not None
 
 
 def is_strongly_suitable(d: DistanceTuple, t: int) -> bool:

@@ -1,21 +1,17 @@
-"""Uniform colourings and the residue test for red copies inside them.
+"""Uniform colourings and the residue test for monochromatic copies in them.
 
-The uniform colouring with parameter t splits the circle into 2t equal
-arcs coloured alternately red and blue, each arc containing its clockwise
-endpoint.  Rotating it by one arc swaps the colours, so it contains a
-monochromatic copy of a tuple iff it contains a red one.  Questions about
-c_t are answered on the least grid holding its arcs and the tuple,
-`core.common_grid`, which refuses grids above `core.GRID_LIMIT`.
-
-For the doubling tuple on the grid 2t(2^k - 1), reducing vertex indices
-modulo 2^(k+1) - 2 turns red-copy existence into a purely arithmetic
-question: order the k jump residues 2t, 4t, ..., 2^k t so that every
-partial position stays inside the red residue window {0, ..., 2^k - 2}.
-Because the position after a prefix depends only on the set of jumps used,
-a memoised search over the 2^k subsets, `window_order`, decides this
-without touching k! orderings.  It is the only prefix-window search:
-`doubling.prefix_permutation` calls it too, on the signed jumps themselves
-with 2^k - 1 as the window, since its orbit holds them over that denominator.
+The uniform colouring c_t splits the circle into 2t equal arcs coloured
+alternately red and blue from vertex 0, each arc containing its clockwise
+endpoint: x is red iff 2t x mod 2 lies in [0, 1).  Every question about c_t
+is arithmetic: over the least common denominator q of the tuple, each gap
+moves a vertex by an integer step (`uniform_steps`), and a copy is an order
+of the steps that keeps every partial position in the red window
+{0, ..., q - 1}.  Because the position after a prefix depends only on the
+set of steps used, a memoised search over the 2^k subsets, `window_order`,
+decides this without touching k! orderings.  It is the only prefix-window
+search: `doubling.prefix_permutation` calls it too, on the signed jumps
+themselves with 2^k - 1 as the window, since its orbit holds them over that
+denominator.
 """
 
 from __future__ import annotations
@@ -23,68 +19,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Optional
+from typing import Optional, Sequence
 
-from .core import Colouring, DistanceTuple, RefutationError, common_grid
-from .detector import find_copy_in_class
+from .core import DistanceTuple, RefutationError, discretize
 
 
-def uniform_colouring(t: int, grid: int) -> Colouring:
-    """The alternating 2t-arc colouring on Z_grid, starting red at vertex 0.
+def uniform_steps(gaps: Sequence[int], t: int) -> Optional[tuple[int, ...]]:
+    """How each gap moves the position in c_t, folded into (-q, q).
 
-    Vertex v is red iff floor(v * 2t / grid) is even; 2t must divide grid.
+    gaps are integer numerators over q = sum(gaps).  Gap g moves the position
+    q (2t x mod 2) by 2t g mod 2q; a move of exactly q, that is 2t g / q an
+    odd integer, swaps red and blue and blocks the gap, and gives None.
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
-    if grid < 1 or grid % (2 * t):
-        raise ValueError(f"grid {grid} is not a positive multiple of 2t = {2 * t}")
-    block = grid // (2 * t)
-    return Colouring.from_arcs((block, block), repeat=t)
-
-
-@dataclass(frozen=True)
-class JumpResult:
-    """Nearest-integer jump counts round(t * d_i), or the first blocked index.
-
-    t * d_i being exactly a half-integer blocks index i (1-based): an arc of
-    that length cannot have both endpoints the same colour in c_t, so no
-    monochromatic copy exists at this t.
-    """
-
-    t: int
-    counts: Optional[tuple[int, ...]]
-    blocked_index: Optional[int] = None
-
-    @property
-    def blocked(self) -> bool:
-        return self.blocked_index is not None
-
-    @property
-    def identity_holds(self) -> bool:
-        return self.counts is not None and sum(self.counts) == self.t
-
-
-def jump_counts(d: DistanceTuple, t: int) -> JumpResult:
-    """Round each t * d_i to the nearest integer, exactly."""
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    counts = []
-    for i, di in enumerate(d.distances, start=1):
-        p, q = di.numerator, di.denominator
-        num = 2 * t * p + q
-        if num % (2 * q) == 0:
-            return JumpResult(t=t, counts=None, blocked_index=i)
-        counts.append(num // (2 * q))
-    return JumpResult(t=t, counts=tuple(counts))
+    q = sum(gaps)
+    steps = []
+    for g in gaps:
+        u = 2 * t * g % (2 * q)
+        if u == q:
+            return None
+        steps.append(u if u < q else u - 2 * q)
+    return tuple(steps)
 
 
 @dataclass(frozen=True)
 class ResidueInstance:
     """The modular data of the red-copy question for the doubling tuple.
 
-    jumps are the residues 2t, 4t, ..., 2^k t modulo m = 2^(k+1) - 2; the
-    signed values fold residues above 2^k - 1 into negatives, and describe
-    how a vertex moves inside the red window {0, ..., 2^k - 2}.
+    The signed jumps are `uniform_steps` of the doubling tuple over
+    q = 2^k - 1, in reverse index order: the gap 2^i / q moves a vertex by
+    2^(i+1) t.  jumps are the same moves as residues 2t, 4t, ..., 2^k t
+    modulo m = 2^(k+1) - 2, and the red window is {0, ..., 2^k - 2}.
     """
 
     k: int
@@ -107,15 +73,14 @@ class ResidueInstance:
 
     @cached_property
     def jumps(self) -> tuple[int, ...]:
-        return tuple((2 ** i * self.t) % self.m for i in range(1, self.k + 1))
+        return tuple(s % self.m for s in self.signed)
 
     @cached_property
     def signed(self) -> tuple[int, ...]:
-        if self.window in self.jumps:
+        signed = uniform_steps(tuple(2 ** i for i in range(self.k)), self.t)
+        if signed is None:
             # Impossible: jumps are even, 2^k - 1 is odd and m is even.
-            raise RefutationError(
-                f"jump residue {self.window} equals 2^k - 1 for k={self.k}, t={self.t}")
-        signed = tuple(u if u < self.window else u - self.m for u in self.jumps)
+            raise RefutationError(f"a jump residue equals 2^k - 1 for k={self.k}, t={self.t}")
         if sum(signed) != 0:
             raise RefutationError(
                 f"signed jumps {signed} do not sum to 0 for k={self.k}, t={self.t}")
@@ -169,14 +134,12 @@ def window_order(values: tuple[int, ...], window: int) -> Optional[tuple[int, ..
 
 
 def residue_check(k: int, t: int) -> Optional[ResidueWitness]:
-    """Decide red-copy existence in the uniform colouring arithmetically.
+    """Decide red-copy existence for the doubling tuple arithmetically.
 
-    A start residue r and a growing chain of jump subsets keep all positions
-    red iff some ordering of the signed jumps has all prefix sums in
-    [0, 2^k - 1): any red walk, restarted at its minimal position, yields
-    one, so r = 0 can be reported whenever a witness exists at all.  The
-    jumps are searched in stable by-value order, so the witness is the least
-    value sequence, each value taking its lowest unused jump index.
+    This is `uniform_contains_mono_copy` on `power_tuple(k)`, with the walk
+    kept as a witness from residue 0.  The jumps are searched in stable
+    by-value order, so the witness is the least value sequence, each value
+    taking its lowest unused jump index.
     """
     inst = ResidueInstance(k=k, t=t)
     by_value = sorted(range(k), key=inst.signed.__getitem__)
@@ -190,29 +153,35 @@ def residue_check(k: int, t: int) -> Optional[ResidueWitness]:
 
 
 def uniform_contains_mono_copy(d: DistanceTuple, t: int) -> bool:
-    """Whether c_t contains a monochromatic copy of d, on the least grid
-    holding both; by colour-swap symmetry, checking red suffices."""
-    grid = common_grid(2 * t, *d.denominators)
-    red = uniform_colouring(t, grid).red_mask
-    return find_copy_in_class(red, grid, d.on(grid).gaps) is not None
+    """Whether c_t contains a monochromatic copy of d, decided without a grid.
+
+    Rotating c_t by one arc swaps its colours, so red suffices.  Over
+    q = d.lcm_denominator(), vertex x sits at P(x) = q (2t x mod 2) in
+    [0, 2q) and is red iff P(x) < q; gap d_i moves P by u_i = 2t d_i q mod 2q.
+    - A gap with u_i = q, that is t d_i a half-integer, joins a red vertex
+      to a blue one: no copy.
+    - Otherwise fold each u_i into (-q, q).  Along a red copy both ends of
+      every gap lie in [0, q), so P moves by exactly the folded step, not by
+      it plus or minus 2q; going once round the circle, the steps sum to 0
+      (the jump identity, sum of round(t d_i) = t).
+    - Restart a red walk at its lowest position: every partial sum of its
+      steps then lies in [0, q), an order that `window_order` finds.
+      Conversely such an order, walked from x = 0, is a red copy.
+    """
+    steps = uniform_steps(discretize(d).gaps, t)
+    return (steps is not None and sum(steps) == 0
+            and window_order(tuple(sorted(steps)), d.lcm_denominator()) is not None)
 
 
 def nonpower_witness(d: DistanceTuple, max_t: int) -> Optional[int]:
     """Smallest t <= max_t whose uniform colouring has no monochromatic copy.
 
-    The jump identity gives a fast negative: a blocked index or a count sum
-    differing from t already rules out monochromatic copies at this t.  For
-    the doubling tuple no witness exists at any bound; finding one would
+    For the doubling tuple no witness exists at any bound; finding one would
     overturn the verified small cases, so it is raised, never returned.
     """
     is_power = d.is_power()
     for t in range(1, max_t + 1):
-        jr = jump_counts(d, t)
-        if jr.blocked or not jr.identity_holds:
-            no_copy = True
-        else:
-            no_copy = not uniform_contains_mono_copy(d, t)
-        if no_copy:
+        if not uniform_contains_mono_copy(d, t):
             if is_power:
                 raise RefutationError(
                     f"uniform colouring c_{t} contains no monochromatic copy of "

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -11,7 +12,36 @@ from typing import Optional, Sequence
 import ramsey_circle
 from ramsey_circle.beatty import (BalanceVerdict, BeattyPair, FraenkelReport,
                                   PartitionError, PartitionVerdict)
-from ramsey_circle.core import power_tuple
+from ramsey_circle.core import (Colouring, DiscreteInstance, DistanceTuple,
+                                power_tuple)
+from ramsey_circle.detector import find_copy_in_class
+
+
+def uniform_colouring(t: int, grid: int) -> Colouring:
+    """The alternating 2t-arc colouring on Z_grid, starting red at vertex 0.
+
+    Vertex v is red iff floor(v * 2t / grid) is even; 2t must divide grid.
+    The mask is read from one binary string, vertex 0 as its last digit.
+    """
+    if t < 1:
+        raise ValueError("t must be a positive integer")
+    if grid < 1 or grid % (2 * t):
+        raise ValueError(f"grid {grid} is not a positive multiple of 2t = {2 * t}")
+    block = grid // (2 * t)
+    return Colouring(n=grid, red_mask=int(("0" * block + "1" * block) * t, 2))
+
+
+def uniform_instance(d: DistanceTuple, t: int) -> tuple[Colouring, DiscreteInstance]:
+    """c_t and d on the least grid holding both."""
+    grid = math.lcm(2 * t, d.lcm_denominator())
+    return uniform_colouring(t, grid), d.on(grid)
+
+
+def uniform_grid_copy(d: DistanceTuple, t: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The least red copy of d in c_t on the least grid holding both, found
+    by the bitset kernel; by colour-swap symmetry red suffices."""
+    c, inst = uniform_instance(d, t)
+    return find_copy_in_class(c.red_mask, c.n, inst.gaps)
 
 
 def dfs_copy_in_class(class_mask: int, n: int, gaps: Sequence[int],
@@ -59,6 +89,44 @@ def dfs_copy_in_class(class_mask: int, n: int, gaps: Sequence[int],
             return (tuple(vertices[shift:] + vertices[:shift]),
                     order[shift:] + order[:shift])
     return None
+
+
+@dataclass(frozen=True)
+class JumpResult:
+    """Nearest-integer jump counts round(t * d_i), or the first blocked index.
+
+    t * d_i being exactly a half-integer blocks index i (1-based): an arc of
+    that length cannot have both endpoints the same colour in c_t, so no
+    monochromatic copy exists at this t.
+    """
+
+    t: int
+    counts: Optional[tuple[int, ...]]
+    blocked_index: Optional[int] = None
+
+    @property
+    def blocked(self) -> bool:
+        return self.blocked_index is not None
+
+    @property
+    def identity_holds(self) -> bool:
+        return self.counts is not None and sum(self.counts) == self.t
+
+
+def jump_counts(d: DistanceTuple, t: int) -> JumpResult:
+    """Round each t * d_i to the nearest integer, exactly, from each
+    fraction's own numerator and denominator; shares no code with
+    `uniform.uniform_steps`."""
+    if t < 1:
+        raise ValueError("t must be a positive integer")
+    counts = []
+    for i, di in enumerate(d.distances, start=1):
+        p, q = di.numerator, di.denominator
+        num = 2 * t * p + q
+        if num % (2 * q) == 0:
+            return JumpResult(t=t, counts=None, blocked_index=i)
+        counts.append(num // (2 * q))
+    return JumpResult(t=t, counts=tuple(counts))
 
 
 def prefix_order(values: Sequence[Fraction]) -> Optional[tuple[int, ...]]:

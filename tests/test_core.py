@@ -92,29 +92,40 @@ def test_common_grid_is_the_lcm_within_the_budget():
 
 
 def arc_colour(arcs, v):
-    """Per-vertex definition: v is red iff the arc holding it, counted in
-    its copy of the pattern, has an even index."""
-    offset = v % sum(arcs)
+    """Per-vertex definition: v is red iff the arc holding it has an even
+    index."""
     for j, length in enumerate(arcs):
-        if offset < length:
+        if v < length:
             return j % 2 == 0
-        offset -= length
+        v -= length
 
 
 def test_from_arcs_matches_the_per_vertex_definition():
     rng = random.Random(19)
     for _ in range(300):
         arcs = [rng.randint(1, 9) for _ in range(rng.randint(1, 10))]
-        repeat = rng.choice((1, rng.randint(2, 40)))
-        c = Colouring.from_arcs(arcs, repeat)
-        assert c.n == sum(arcs) * repeat and c.black is None
+        c = Colouring.from_arcs(arcs)
+        assert c.n == sum(arcs) and c.black is None
         assert [c.is_red(v) for v in range(c.n)] == [arc_colour(arcs, v) for v in range(c.n)]
 
 
-@pytest.mark.parametrize("arcs, repeat", [((), 1), ((3, 0, 2), 1), ((2, -1), 1), ((2, 2), 0)])
-def test_from_arcs_refuses_bad_arcs_and_repeat(arcs, repeat):
+@pytest.mark.parametrize("arcs", [(), (3, 0, 2), (2, -1)])
+def test_from_arcs_refuses_bad_arcs(arcs):
     with pytest.raises(ValueError):
-        Colouring.from_arcs(arcs, repeat)
+        Colouring.from_arcs(arcs)
+
+
+def test_to_string_matches_the_per_vertex_colours():
+    # one character per vertex, vertex 0 first, including masks whose high
+    # bits are clear (leading B) and n = 1
+    rng = random.Random(23)
+    cases = [Colouring(n=1, red_mask=0), Colouring(n=1, red_mask=1),
+             Colouring(n=9, red_mask=0b101), Colouring(n=64, red_mask=1)]
+    for _ in range(300):
+        n = rng.randint(1, 300)
+        cases.append(Colouring(n=n, red_mask=rng.getrandbits(n) >> rng.randint(0, n)))
+    for c in cases:
+        assert c.to_string() == "".join(c.colour_char(v) for v in range(c.n)), c
 
 
 @pytest.mark.parametrize("k", range(3, 11))

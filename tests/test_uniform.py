@@ -6,14 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from _reference import prefix_order
-from ramsey_circle.core import (DistanceTuple, RefutationError, common_grid,
+from _reference import (jump_counts, prefix_order, uniform_colouring,
+                        uniform_grid_copy, uniform_instance)
+from ramsey_circle.core import (DistanceTuple, RefutationError, discretize,
                                 power_tuple)
-from ramsey_circle.detector import detect_dp
-from ramsey_circle.uniform import (ResidueInstance, jump_counts,
-                                   nonpower_witness, residue_check,
-                                   uniform_colouring,
-                                   uniform_contains_mono_copy, window_order)
+from ramsey_circle.detector import detect_bruteforce, detect_dp
+from ramsey_circle.uniform import (ResidueInstance, nonpower_witness,
+                                   residue_check, uniform_contains_mono_copy,
+                                   uniform_steps, window_order)
 
 
 def test_uniform_colouring_halves():
@@ -157,12 +157,6 @@ def test_window_order_is_the_least_index_sequence():
     assert found >= 100 and missing >= 100 and repeated >= 200
 
 
-def uniform_instance(d, t):
-    """c_t and d on the least grid holding both, built from public pieces."""
-    grid = common_grid(2 * t, *d.denominators)
-    return uniform_colouring(t, grid), d.on(grid)
-
-
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_residue_check_agrees_with_detector(k):
     d = power_tuple(k)
@@ -178,9 +172,8 @@ def test_residue_check_agrees_with_detector(k):
 
 
 def test_uniform_search_with_repeated_gaps_matches_full_detector():
-    # repeated gaps go through the same kernel as distinct ones; the
-    # brute-force detector is the oracle
-    from ramsey_circle.detector import detect_bruteforce
+    # repeated gaps go through the same window search as distinct ones; the
+    # brute-force detector on the grid is the oracle
     tuples = [DistanceTuple((F(1, 3), F(1, 3), F(1, 3))),
               DistanceTuple((F(1, 2), F(1, 4), F(1, 4))),
               DistanceTuple((F(2, 5), F(2, 5), F(1, 5))),
@@ -192,6 +185,50 @@ def test_uniform_search_with_repeated_gaps_matches_full_detector():
                 (detect_bruteforce(c, inst) is not None), (d.distances, t)
 
 
+def random_tuple(rng, k, q):
+    """A non-increasing k-tuple of positive fractions over q summing to 1."""
+    cuts = sorted(rng.sample(range(1, q), k - 1))
+    parts = sorted((b - a for a, b in zip([0] + cuts, cuts + [q])), reverse=True)
+    return DistanceTuple(tuple(F(p, q) for p in parts))
+
+
+def test_window_search_matches_the_grid_kernel_on_random_tuples():
+    # seeded (d, t) with k = 3..6, denominators up to 60 and t up to 40; the
+    # grid kernel on c_t is the oracle, and both verdicts, repeated gaps and
+    # blocked gaps must each occur often
+    rng = random.Random(20251)
+    found = missing = repeated = blocked = 0
+    for _ in range(1200):
+        k = rng.randint(3, 6)
+        d = random_tuple(rng, k, rng.randint(k, 60))
+        t = rng.randint(1, 40)
+        expected = uniform_grid_copy(d, t) is not None
+        assert uniform_contains_mono_copy(d, t) == expected, (d.distances, t)
+        found += expected
+        missing += not expected
+        repeated += len(set(d.distances)) < k
+        blocked += uniform_steps(discretize(d).gaps, t) is None
+    assert found >= 300 and missing >= 300
+    assert repeated >= 300 and blocked >= 50
+
+
+def test_uniform_steps_carry_the_jump_counts():
+    # a step is blocked exactly at a half-integer t d_i, and the folded steps
+    # sum to 0 exactly when the rounded counts sum to t
+    rng = random.Random(41)
+    for _ in range(500):
+        k = rng.randint(3, 6)
+        d = random_tuple(rng, k, rng.randint(k, 60))
+        t = rng.randint(1, 200)
+        steps = uniform_steps(discretize(d).gaps, t)
+        jr = jump_counts(d, t)
+        assert (steps is None) == jr.blocked, (d.distances, t)
+        if steps is not None:
+            q = d.lcm_denominator()
+            assert all(-q < s < q for s in steps)
+            assert (sum(steps) == 0) == jr.identity_holds, (d.distances, t)
+
+
 def test_nonpower_witness_examples():
     assert nonpower_witness(DistanceTuple((F(1, 2), F(1, 3), F(1, 6))), 10) == 1
     assert nonpower_witness(DistanceTuple((F(1, 2), F(1, 4), F(1, 4))), 10) == 1
@@ -199,14 +236,14 @@ def test_nonpower_witness_examples():
 
 
 def test_nonpower_witness_verdicts_match_detector():
-    # The jump-identity shortcut must agree with the full detector verdict.
+    # the sweep must agree with the grid kernel verdict at every t
     tuples = [DistanceTuple((F(5, 12), F(1, 3), F(1, 4))),
               DistanceTuple((F(3, 7), F(2, 7), F(2, 7))),
               DistanceTuple((F(2, 5), F(2, 5), F(1, 5)))]
     for d in tuples:
         by_sweep = nonpower_witness(d, 20)
         by_detector = next((t for t in range(1, 21)
-                            if not uniform_contains_mono_copy(d, t)), None)
+                            if uniform_grid_copy(d, t) is None), None)
         assert by_sweep == by_detector
 
 
