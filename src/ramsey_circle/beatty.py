@@ -276,8 +276,7 @@ def balanced_check(w: BalancedWord) -> BalanceVerdict:
 def densities(w: BalancedWord) -> tuple[Fraction, ...]:
     """Exact per-period letter frequencies, in letter order; they sum to 1."""
     p = w.period_length
-    return tuple(Fraction(sum(1 for s in w.period if s == a), p)
-                 for a in range(1, w.k + 1))
+    return tuple(Fraction(w.period.count(a), p) for a in range(1, w.k + 1))
 
 
 @dataclass(frozen=True)
@@ -325,7 +324,7 @@ def fraenkel_diagnostics(pair: BeattyPair, M: int) -> FraenkelReport:
     symmetric = period == period[::-1]
     consecutive = tuple(_consecutive_condition(word, a)
                         for a in range(1, pair.k + 1))
-    dens = tuple(Fraction(period.count(a), p) for a in range(1, pair.k + 1))
+    dens = densities(BalancedWord(period))
     power = pair.k >= 3 and dens == power_tuple(pair.k).distances
     return FraenkelReport(period_length=p, period=period,
                           exact=bool(periodic), symmetric=symmetric,

@@ -256,12 +256,11 @@ def _cmd_doubling(cfg: RunConfig, args) -> int:
 
 def _cmd_suitable(cfg: RunConfig, args) -> int:
     d = _parse_distance_tuple(args.gaps)
-    suitable = robust.is_suitable(d, args.t)
+    suitable, strong = uniform.suitability(d, args.t)
     payload = {"gaps": [str(x) for x in d.distances], "t": args.t,
                "suitable": suitable}
     human = [f"t = {args.t} suitable: {suitable}"]
     if d.k == 3:
-        strong = suitable and robust.parity_allows(d, args.t)
         payload["strongly_suitable"] = strong
         human.append(f"strongly suitable: {strong}")
     _emit(cfg, payload, human)
@@ -270,16 +269,15 @@ def _cmd_suitable(cfg: RunConfig, args) -> int:
 
 def _cmd_suitable_search(cfg: RunConfig, args) -> int:
     d = _parse_distance_tuple(args.gaps)
-    analysis = robust.TripleAnalysis(d)
     t = robust.strongly_suitable_search(d, _max_t(args))
+    t_set_empty = robust.t_set_empty(d)
     payload = {"gaps": [str(x) for x in d.distances], "max_t": args.max_t,
-               "t": t, "t_set_empty": analysis.t_set_empty}
+               "t": t, "t_set_empty": t_set_empty}
     if t is not None:
         _emit(cfg, payload, [f"t = {t}"])
         return EXIT_OK
-    if analysis.t_set_empty:
-        q = next(q for q in analysis.denominators if q == 2)
-        _emit(cfg, payload, [f"none: T empty (a distance has denominator {q}, "
+    if t_set_empty:
+        _emit(cfg, payload, ["none: T empty (a distance has denominator 2, "
                              "which divides every 2t)"])
     else:
         _emit(cfg, payload, [f"none (searched T up to t = {args.max_t})"])

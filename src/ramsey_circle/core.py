@@ -19,6 +19,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -100,8 +101,14 @@ class DistanceTuple:
     def denominators(self) -> tuple[int, ...]:
         return tuple(d.denominator for d in self.distances)
 
+    @cached_property
+    def numerators(self) -> tuple[int, ...]:
+        """Each d_i as an integer over q = lcm_denominator(), computed once;
+        they sum to q."""
+        return grid_units(self.distances, math.lcm(*self.denominators))
+
     def lcm_denominator(self) -> int:
-        return math.lcm(*self.denominators)
+        return sum(self.numerators)
 
     def on(self, n: int) -> "DiscreteInstance":
         """The tuple scaled onto Z_n; n must be a multiple of every denominator."""
@@ -182,6 +189,18 @@ def _validate_mask(n: int, mask: int) -> None:
 
 
 _BITS_TO_COLOURS = str.maketrans("01", "BR")
+_COLOURS_TO_BITS = str.maketrans("BR", "01")
+_NOT_A_COLOUR = re.compile("[^RB]")
+
+
+def _red_mask(chars: str, line: Optional[int] = None) -> int:
+    """The red mask of an R/B string, vertex 0 first, linear in n like
+    `Colouring.to_string`; any other character is a ParseError."""
+    bad = _NOT_A_COLOUR.search(chars)
+    if bad:
+        raise ParseError(f"invalid colour character {bad.group()!r}",
+                         line=line, column=bad.start() + 1)
+    return int(chars[::-1].translate(_COLOURS_TO_BITS), 2) if chars else 0
 
 
 @dataclass(frozen=True)
@@ -203,13 +222,7 @@ class Colouring:
 
     @classmethod
     def from_string(cls, chars: str, black: Optional[int] = None) -> "Colouring":
-        mask = 0
-        for v, ch in enumerate(chars):
-            if ch == "R":
-                mask |= 1 << v
-            elif ch != "B":
-                raise ValueError(f"invalid colour character {ch!r}")
-        return cls(n=len(chars), red_mask=mask, black=black)
+        return cls(n=len(chars), red_mask=_red_mask(chars), black=black)
 
     @classmethod
     def from_arcs(cls, arcs: Sequence[int]) -> "Colouring":
@@ -287,12 +300,7 @@ def parse_colouring(text: str) -> Colouring:
     chars = lines[1]
     if len(chars) != n:
         raise ParseError(f"colour line has length {len(chars)}, expected {n}", line=2)
-    mask = 0
-    for v, ch in enumerate(chars):
-        if ch == "R":
-            mask |= 1 << v
-        elif ch != "B":
-            raise ParseError(f"invalid colour character {ch!r}", line=2, column=v + 1)
+    mask = _red_mask(chars, line=2)
     black = None
     if len(lines) >= 3 and lines[2].strip():
         m = re.match(r"^black\s+(\d+)$", lines[2].strip())

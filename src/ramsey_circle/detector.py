@@ -113,10 +113,7 @@ def _copy_table(n: int, gaps: tuple[int, ...]):
 
 
 def _walk_budget(n: int, gaps: tuple[int, ...]) -> int:
-    orders = 1
-    for i in range(2, len(gaps) + 1):
-        orders *= i
-    return n * orders
+    return n * math.factorial(len(gaps))
 
 
 def _copies(n: int, gaps: tuple[int, ...]):

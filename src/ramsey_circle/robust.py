@@ -5,7 +5,9 @@ monochromatic copy of it, and strongly suitable when additionally no
 2 t d_i is an odd integer (the parity condition that keeps copies away
 from the arc endpoints, where both colours accumulate).  The search space
 is restricted to T = {t : no denominator q_i divides 2t}; a denominator of
-2 empties T outright.
+2 empties T outright.  The search is the one sweep `uniform.least_suitable_t`,
+which stops at min(max_t, q), q the lcm of the denominators: every step of
+c_t, and membership in T, depends only on t mod q.
 
 `nearly_ramsey_finite_check` exhausts every two-colouring of Z_N minus one
 black wildcard vertex and confirms that some copy avoids red or avoids
@@ -19,66 +21,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Colouring, DistanceTuple, discretize
+from .core import Colouring, DistanceTuple
 from .detector import _copy_table
-from .uniform import uniform_contains_mono_copy, uniform_steps
+from .uniform import least_suitable_t
 
 
-@dataclass(frozen=True)
-class TripleAnalysis:
-    """Denominator data driving the strongly-suitable search for a triple."""
-
-    d: DistanceTuple
-
-    def __post_init__(self):
-        if self.d.k != 3:
-            raise ValueError(f"triple analysis needs k = 3, got k = {self.d.k}")
-
-    @property
-    def denominators(self) -> tuple[int, int, int]:
-        return self.d.denominators
-
-    def in_t_set(self, t: int) -> bool:
-        """Whether t is in T, i.e. no q_i divides 2t."""
-        return all(2 * t % q for q in self.denominators)
-
-    @property
-    def t_set_empty(self) -> bool:
-        # q_i = 2 divides every 2t (q_i = 1 cannot occur: each d_i < 1).
-        return any(q == 2 for q in self.denominators)
-
-
-def is_suitable(d: DistanceTuple, t: int) -> bool:
-    """c_t contains no monochromatic copy of d."""
-    return not uniform_contains_mono_copy(d, t)
-
-
-def parity_allows(d: DistanceTuple, t: int) -> bool:
-    """The parity half of strong suitability: no 2 t d_i is an odd integer,
-    that is, no t d_i is a half-integer, which is what blocks a step."""
-    if d.k != 3:
-        raise ValueError(f"strong suitability is defined for triples, got k = {d.k}")
-    return uniform_steps(discretize(d).gaps, t) is not None
-
-
-def is_strongly_suitable(d: DistanceTuple, t: int) -> bool:
-    """Suitable, and no 2 t d_i is an odd integer."""
-    return parity_allows(d, t) and is_suitable(d, t)
+def t_set_empty(d: DistanceTuple) -> bool:
+    """A denominator 2 divides every 2t (none is 1: each d_i < 1)."""
+    return 2 in d.denominators
 
 
 def strongly_suitable_search(d: DistanceTuple, max_t: int) -> Optional[int]:
     """Smallest strongly-suitable t <= max_t within T, or None.
 
-    None is returned both when T is empty (see TripleAnalysis.t_set_empty)
-    and when the sweep is exhausted.
+    None is returned both when T is empty (see `t_set_empty`) and when the
+    sweep is exhausted.
     """
-    analysis = TripleAnalysis(d)
-    if analysis.t_set_empty:
+    if d.k != 3:
+        raise ValueError(f"triple analysis needs k = 3, got k = {d.k}")
+    if t_set_empty(d):
         return None
-    for t in range(1, max_t + 1):
-        if analysis.in_t_set(t) and is_strongly_suitable(d, t):
-            return t
-    return None
+    return least_suitable_t(d, max_t, strong=True)
 
 
 @dataclass(frozen=True)

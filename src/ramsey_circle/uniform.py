@@ -6,12 +6,12 @@ endpoint: x is red iff 2t x mod 2 lies in [0, 1).  Every question about c_t
 is arithmetic: over the least common denominator q of the tuple, each gap
 moves a vertex by an integer step (`uniform_steps`), and a copy is an order
 of the steps that keeps every partial position in the red window
-{0, ..., q - 1}.  Because the position after a prefix depends only on the
-set of steps used, a memoised search over the 2^k subsets, `window_order`,
-decides this without touching k! orderings.  It is the only prefix-window
-search: `doubling.prefix_permutation` calls it too, on the signed jumps
-themselves with 2^k - 1 as the window, since its orbit holds them over that
-denominator.
+{0, ..., q - 1} (`red_order`, for any tuple; `residue_check` is the doubling
+case).  Because the position after a prefix depends only on the set of
+steps used, a memoised search over the 2^k subsets, `window_order`, decides
+this without touching k! orderings; `doubling.prefix_permutation` calls it
+too.  Every sweep over t is `least_suitable_t`, which stops at
+min(max_t, q), since every step depends only on t mod q.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .core import DistanceTuple, RefutationError, discretize
+from .core import DistanceTuple, RefutationError
 
 
 def uniform_steps(gaps: Sequence[int], t: int) -> Optional[tuple[int, ...]]:
@@ -133,44 +133,80 @@ def window_order(values: tuple[int, ...], window: int) -> Optional[tuple[int, ..
     return tuple(out) if extend(0, 0) else None
 
 
+def red_order(steps: Sequence[int], q: int) -> Optional[tuple[int, ...]]:
+    """A walk by `uniform_steps` over q from position 0 that keeps every
+    partial position in {0, ..., q - 1}, as 0-based gap indices, or None:
+    the least sequence of step values, each taking its lowest unused index.
+    Steps that do not sum to 0 (the jump identity) have none."""
+    if sum(steps) != 0:
+        return None
+    by_value = sorted(range(len(steps)), key=steps.__getitem__)
+    order = window_order(tuple(steps[i] for i in by_value), q)
+    return None if order is None else tuple(by_value[i] for i in order)
+
+
 def residue_check(k: int, t: int) -> Optional[ResidueWitness]:
     """Decide red-copy existence for the doubling tuple arithmetically.
 
-    This is `uniform_contains_mono_copy` on `power_tuple(k)`, with the walk
-    kept as a witness from residue 0.  The jumps are searched in stable
-    by-value order, so the witness is the least value sequence, each value
-    taking its lowest unused jump index.
+    This is `red_order` on the doubling tuple's steps, with the walk kept as
+    a witness from residue 0.
     """
     inst = ResidueInstance(k=k, t=t)
-    by_value = sorted(range(k), key=inst.signed.__getitem__)
-    order = window_order(tuple(inst.signed[i] for i in by_value), inst.window)
-    if order is None:
+    jump_order = red_order(inst.signed, inst.window)
+    if jump_order is None:
         return None
-    jump_order = tuple(by_value[i] for i in order)
     positions = tuple(p % inst.m for p in accumulate(inst.jumps[i] for i in jump_order))
     return ResidueWitness(start_residue=0, jump_order=jump_order,
                           positions=positions, instance=inst)
 
 
-def uniform_contains_mono_copy(d: DistanceTuple, t: int) -> bool:
-    """Whether c_t contains a monochromatic copy of d, decided without a grid.
+def suitability(d: DistanceTuple, t: int) -> tuple[bool, bool]:
+    """Whether t is suitable for d, and whether it is strongly suitable.
 
-    Rotating c_t by one arc swaps its colours, so red suffices.  Over
-    q = d.lcm_denominator(), vertex x sits at P(x) = q (2t x mod 2) in
-    [0, 2q) and is red iff P(x) < q; gap d_i moves P by u_i = 2t d_i q mod 2q.
-    - A gap with u_i = q, that is t d_i a half-integer, joins a red vertex
-      to a blue one: no copy.
+    Suitable: c_t has no monochromatic copy of d.  Rotating c_t by one arc
+    swaps its colours, so red suffices.  Over q = d.lcm_denominator(),
+    vertex x sits at P(x) = q (2t x mod 2) in [0, 2q) and is red iff
+    P(x) < q; gap d_i moves P by u_i = 2t d_i q mod 2q.
+    - A gap with u_i = q, that is 2 t d_i an odd integer, joins a red vertex
+      to a blue one: t is suitable, but not strongly (the parity half).
     - Otherwise fold each u_i into (-q, q).  Along a red copy both ends of
       every gap lie in [0, q), so P moves by exactly the folded step, not by
       it plus or minus 2q; going once round the circle, the steps sum to 0
       (the jump identity, sum of round(t d_i) = t).
     - Restart a red walk at its lowest position: every partial sum of its
-      steps then lies in [0, q), an order that `window_order` finds.
+      steps then lies in [0, q), an order that `red_order` finds.
       Conversely such an order, walked from x = 0, is a red copy.
     """
-    steps = uniform_steps(discretize(d).gaps, t)
-    return (steps is not None and sum(steps) == 0
-            and window_order(tuple(sorted(steps)), d.lcm_denominator()) is not None)
+    steps = uniform_steps(d.numerators, t)
+    if steps is None:
+        return True, False
+    free = red_order(steps, d.lcm_denominator()) is None
+    return free, free
+
+
+def uniform_contains_mono_copy(d: DistanceTuple, t: int) -> bool:
+    """Whether c_t contains a monochromatic copy of d, decided without a grid."""
+    return not suitability(d, t)[0]
+
+
+def least_suitable_t(d: DistanceTuple, max_t: int, strong: bool = False) -> Optional[int]:
+    """The least suitable t <= max_t for d, or with strong the least strongly
+    suitable t in T = {t : no denominator q_i of d divides 2t}; or None.
+
+    Only t <= min(max_t, q) is tried, q = d.lcm_denominator().  If t = t'
+    mod q, then 2t g - 2t' g is a multiple of 2q, so every step 2t g mod 2q
+    is the same at t and t'; so is 2t mod q_i, since each q_i divides q.
+    The verdict thus depends only on t mod q, which 1..q runs through, so
+    the least t, if any exists, is at most q.
+    """
+    denominators = d.denominators
+    for t in range(1, min(max_t, d.lcm_denominator()) + 1):
+        if strong and not all(2 * t % p for p in denominators):
+            continue
+        suitable, strongly = suitability(d, t)
+        if strongly if strong else suitable:
+            return t
+    return None
 
 
 def nonpower_witness(d: DistanceTuple, max_t: int) -> Optional[int]:
@@ -179,13 +215,10 @@ def nonpower_witness(d: DistanceTuple, max_t: int) -> Optional[int]:
     For the doubling tuple no witness exists at any bound; finding one would
     overturn the verified small cases, so it is raised, never returned.
     """
-    is_power = d.is_power()
-    for t in range(1, max_t + 1):
-        if not uniform_contains_mono_copy(d, t):
-            if is_power:
-                raise RefutationError(
-                    f"uniform colouring c_{t} contains no monochromatic copy of "
-                    f"the k={d.k} doubling tuple; this contradicts the verified "
-                    "small cases and should be treated as a bug until proven")
-            return t
-    return None
+    t = least_suitable_t(d, max_t)
+    if t is not None and d.is_power():
+        raise RefutationError(
+            f"uniform colouring c_{t} contains no monochromatic copy of "
+            f"the k={d.k} doubling tuple; this contradicts the verified "
+            "small cases and should be treated as a bug until proven")
+    return t

@@ -569,6 +569,19 @@ def test_batch_verdicts_match_one_interpreter_per_item(tmp_path):
         assert item["actual"] == code, item["argv"]
 
 
+def test_frozen_benchmark_sweep_passes(tmp_path, pool_sizes):
+    # the benchmark's cli-batch workload runs this frozen copy, so a change
+    # that would fail it fails here first; the file is only read
+    spec = SWEEP_DIR.parent / "bench" / "sweep" / "acceptance.sweep"
+    before = spec.read_bytes()
+    report = tmp_path / "report.json"
+    assert dispatch(["--json", "batch", str(spec), "--report", str(report)]) == EXIT_OK
+    body = json.loads(report.read_text(encoding="utf-8"))
+    assert (body["total"], body["passed"], body["failed"]) == (28, 28, 0)
+    assert all(item["pass"] for item in body["items"])
+    assert spec.read_bytes() == before
+
+
 def test_shipped_sweep_parses():
     from ramsey_circle.cli import _parse_sweep
     items = _parse_sweep(SWEEP_DIR / "acceptance.sweep")

@@ -78,6 +78,7 @@ def test_on_matches_exact_scaling_and_refuses_misfits():
         inst = d.on(n)
         assert (inst.n, inst.gaps) == (n, tuple(int(x * n) for x in d.distances))
         assert grid_units(d.distances, n) == inst.gaps
+        assert d.numerators == d.on(lcm).gaps and sum(d.numerators) == lcm
         fitted += 1
         assert discretize(d, n // lcm) == inst
     assert fitted >= 100 and refused >= 100
@@ -196,6 +197,57 @@ def test_parse_colouring_bad_character():
     with pytest.raises(ParseError) as exc:
         parse_colouring("3\nRXB\n")
     assert (exc.value.line, exc.value.column) == (2, 2)
+
+
+def per_vertex_mask(chars):
+    """Per-vertex definition: bit v is set iff character v is R; the first
+    character that is neither R nor B gives its 1-based column."""
+    mask = 0
+    for v, ch in enumerate(chars):
+        if ch == "R":
+            mask |= 1 << v
+        elif ch != "B":
+            return None, v + 1
+    return mask, None
+
+
+def test_colour_strings_parse_as_the_per_vertex_definition():
+    # both readers share one linear mask conversion: leading and trailing
+    # blue, n = 1, and the column of the first bad character
+    rng = random.Random(31)
+    strings = ["R", "B", "BBR", "RBB", "RB" * 40, "x", "RRB\r", "R B", "BRRé"]
+    for _ in range(300):
+        chars = [rng.choice("RB") for _ in range(rng.randint(1, 200))]
+        if rng.random() < 0.3:
+            for _ in range(rng.randint(1, 3)):
+                chars[rng.randrange(len(chars))] = rng.choice("rbX0 -_+")
+        strings.append("".join(chars))
+    bad = 0
+    for chars in strings:
+        mask, column = per_vertex_mask(chars)
+        if column is None:
+            assert Colouring.from_string(chars).red_mask == mask, chars
+            c = parse_colouring(f"{len(chars)}\n{chars}\n")
+            assert (c.n, c.red_mask) == (len(chars), mask), chars
+            continue
+        bad += 1
+        with pytest.raises(ValueError, match="invalid colour character"):
+            Colouring.from_string(chars)
+        with pytest.raises(ParseError) as exc:
+            parse_colouring(f"{len(chars)}\n{chars}\n")
+        assert (exc.value.line, exc.value.column) == (2, column), chars
+        assert str(exc.value) == (f"invalid colour character {chars[column - 1]!r} "
+                                  f"(line 2, column {column})")
+    assert bad >= 50
+
+
+def test_colour_string_parse_at_a_large_n():
+    # a size where a per-vertex shift-or into the mask took seconds
+    n = 800_000
+    chars = "RB" * (n // 2)
+    c = parse_colouring(f"{n}\n{chars}\n")
+    assert c.red_mask == int("01" * (n // 2), 2)
+    assert c.to_string() == chars
 
 
 def test_parse_colouring_bad_n():

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from ramsey_circle.core import DistanceTuple, power_tuple
-from ramsey_circle.robust import (TripleAnalysis, is_strongly_suitable,
-                                  is_suitable, nearly_ramsey_finite_check,
-                                  strongly_suitable_search)
+from ramsey_circle.robust import (nearly_ramsey_finite_check,
+                                  strongly_suitable_search, t_set_empty)
+from ramsey_circle.uniform import suitability
 
 HALF_THIRD_SIXTH = DistanceTuple((F(1, 2), F(1, 3), F(1, 6)))
 EQUILATERAL = DistanceTuple((F(1, 3), F(1, 3), F(1, 3)))
@@ -17,6 +17,19 @@ NEARLY_RAMSEY = [
     DistanceTuple((F(3, 4), F(1, 6), F(1, 12))),
     DistanceTuple((F(7, 12), F(1, 4), F(1, 6))),
 ]
+
+
+def is_suitable(d, t):
+    return suitability(d, t)[0]
+
+
+def is_strongly_suitable(d, t):
+    return suitability(d, t)[1]
+
+
+def in_t_set(d, t):
+    """t is in T: no denominator divides 2t."""
+    return all(2 * t % q for q in d.denominators)
 
 
 def test_suitable_examples():
@@ -52,8 +65,9 @@ def test_strong_equals_suitable_and_parity():
 
 
 def test_t_set_empty_for_half_denominator():
-    analysis = TripleAnalysis(HALF_THIRD_SIXTH)
-    assert analysis.t_set_empty
+    assert t_set_empty(HALF_THIRD_SIXTH)
+    assert not any(in_t_set(HALF_THIRD_SIXTH, t) for t in range(1, 13))
+    assert not t_set_empty(EQUILATERAL)
     assert strongly_suitable_search(HALF_THIRD_SIXTH, 100) is None
 
 
@@ -61,17 +75,21 @@ def test_search_finds_t_for_two_fifths_triple():
     d = DistanceTuple((F(2, 5), F(2, 5), F(1, 5)))
     t = strongly_suitable_search(d, 100)
     assert t == 1
-    assert TripleAnalysis(d).in_t_set(t)
+    assert in_t_set(d, t)
     assert is_strongly_suitable(d, t)
 
 
 def test_search_cross_validates_against_per_t_checks():
     d = DistanceTuple((F(5, 9), F(1, 3), F(1, 9)))
-    analysis = TripleAnalysis(d)
     found = strongly_suitable_search(d, 30)
     by_hand = next((t for t in range(1, 31)
-                    if analysis.in_t_set(t) and is_strongly_suitable(d, t)), None)
+                    if in_t_set(d, t) and is_strongly_suitable(d, t)), None)
     assert found == by_hand
+
+
+def test_strong_search_needs_a_triple():
+    with pytest.raises(ValueError):
+        strongly_suitable_search(power_tuple(4), 10)
 
 
 def test_nearly_ramsey_triples_have_no_strongly_suitable_t_small():

@@ -11,9 +11,11 @@ from _reference import (jump_counts, prefix_order, uniform_colouring,
 from ramsey_circle.core import (DistanceTuple, RefutationError, discretize,
                                 power_tuple)
 from ramsey_circle.detector import detect_bruteforce, detect_dp
+from ramsey_circle.robust import strongly_suitable_search
 from ramsey_circle.uniform import (ResidueInstance, nonpower_witness,
-                                   residue_check, uniform_contains_mono_copy,
-                                   uniform_steps, window_order)
+                                   red_order, residue_check,
+                                   uniform_contains_mono_copy, uniform_steps,
+                                   window_order)
 
 
 def test_uniform_colouring_halves():
@@ -249,9 +251,122 @@ def test_nonpower_witness_verdicts_match_detector():
 
 def test_power_tuple_witness_raises_refutation_if_found(monkeypatch):
     import ramsey_circle.uniform as umod
-    monkeypatch.setattr(umod, "uniform_contains_mono_copy", lambda d, t: False)
+    monkeypatch.setattr(umod, "suitability", lambda d, t: (True, True))
     with pytest.raises(RefutationError):
         nonpower_witness(power_tuple(3), 5)
+
+
+def least_red_walk(d, t):
+    """The least red walk from vertex 0 of c_t on the grid, by brute force
+    over the k! gap orders: least by folded step values 2t d_i mod 2 in
+    (-1, 1), then by gap indices."""
+    c, inst = uniform_instance(d, t)
+    values = [(2 * t * di) % 2 for di in d.distances]
+    values = [u if u < 1 else u - 2 for u in values]
+    best = None
+    for perm in itertools.permutations(range(d.k)):
+        x = 0
+        for i in perm:
+            x = (x + inst.gaps[i]) % inst.n
+            if not c.is_red(x):
+                break
+        else:
+            key = (tuple(values[i] for i in perm), perm)
+            best = key if best is None else min(best, key)
+    return None if best is None else best[1]
+
+
+def test_red_order_is_the_least_red_walk_for_any_tuple():
+    # the doubling witness generalised over (d, t), with the grid walk as
+    # the oracle; repeated gaps and blocked steps included
+    rng = random.Random(67)
+    found = missing = repeated = 0
+    for _ in range(300):
+        k = rng.randint(3, 5)
+        d = random_tuple(rng, k, rng.randint(k, 30))
+        t = rng.randint(1, 30)
+        steps = uniform_steps(d.numerators, t)
+        got = None if steps is None else red_order(steps, d.lcm_denominator())
+        assert got == least_red_walk(d, t), (d.distances, t)
+        found += got is not None
+        missing += got is None
+        repeated += len(set(d.distances)) < k
+    assert found >= 50 and missing >= 50 and repeated >= 50
+
+
+def reference_sweeps(d, bound):
+    """Per-t loops over the grid oracle for t <= bound: the least suitable t,
+    and for a triple the least strongly suitable t in T."""
+    witness = strong = None
+    for t in range(1, bound + 1):
+        if uniform_grid_copy(d, t) is not None:
+            continue
+        witness = witness or t
+        in_t = all(2 * t % q for q in d.denominators)
+        if strong is None and in_t and not jump_counts(d, t).blocked:
+            strong = t
+    return witness, strong
+
+
+def first_upto(t, max_t):
+    return t if t is not None and t <= max_t else None
+
+
+def test_sweeps_stop_at_the_period_and_match_unbounded_loops():
+    # the verdict depends only on t mod q, so sweeping to min(max_t, q)
+    # answers as a per-t loop to max_t does, at and around q
+    rng = random.Random(89)
+    tuples = [DistanceTuple((F(3, 7), F(2, 7), F(2, 7))), power_tuple(3), power_tuple(4)]
+    tuples += [random_tuple(rng, rng.randint(3, 5), rng.randint(5, 40)) for _ in range(60)]
+    witnesses = strongs = repeated = 0
+    for d in tuples:
+        q = d.lcm_denominator()
+        ref_witness, ref_strong = reference_sweeps(d, 3 * q + 2)
+        witnesses += ref_witness is not None
+        strongs += ref_strong is not None
+        repeated += len(set(d.distances)) < d.k
+        for max_t in (1, q - 1, q, 3 * q + 2):
+            assert nonpower_witness(d, max_t) == first_upto(ref_witness, max_t), (d.distances, max_t)
+            if d.k == 3:
+                assert strongly_suitable_search(d, max_t) == first_upto(ref_strong, max_t), \
+                    (d.distances, max_t)
+    assert witnesses >= 20 and strongs >= 3 and repeated >= 10
+
+
+def test_sweep_on_a_period_seven_tuple_tries_at_most_seven_t(monkeypatch):
+    import ramsey_circle.uniform as umod
+    tried = []
+    per_t = umod.suitability
+
+    def counted(d, t):
+        tried.append(t)
+        return per_t(d, t)
+
+    monkeypatch.setattr(umod, "suitability", counted)
+    # the only tuple over 7 that no t <= 7 is suitable for
+    assert nonpower_witness(power_tuple(3), 100_000) is None
+    assert tried == [1, 2, 3, 4, 5, 6, 7]
+    tried.clear()
+    assert strongly_suitable_search(power_tuple(3), 100_000) is None
+    assert tried == [1, 2, 3, 4, 5, 6]   # 7 divides 2 * 7, so t = 7 is outside T
+
+
+def test_sweeps_scale_each_tuple_once(monkeypatch):
+    # the numerators over q are computed once per tuple, never per t
+    import ramsey_circle.core as cmod
+    calls = []
+    scale = cmod.grid_units
+
+    def counted(values, n):
+        calls.append(n)
+        return scale(values, n)
+
+    monkeypatch.setattr(cmod, "grid_units", counted)
+    assert nonpower_witness(power_tuple(3), 1000) is None
+    assert len(calls) <= 1
+    calls.clear()
+    assert strongly_suitable_search(DistanceTuple((F(5, 8), F(1, 4), F(1, 8))), 500) is None
+    assert len(calls) <= 1
 
 
 def test_signed_jumps_sum_zero_sweep():
