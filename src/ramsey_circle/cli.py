@@ -35,7 +35,7 @@ from typing import Sequence
 from . import beatty, doubling, majority as majority_mod, robust, satgen, uniform
 from .core import (DiscreteInstance, DistanceTuple, ParseError,
                    RefutationError, parse_colouring, parse_fraction,
-                   parse_fraction_list, serialize_colouring)
+                   parse_fraction_list, power_tuple, serialize_colouring)
 from .detector import CopyWitness, count_copies, detect_bruteforce, detect_dp
 
 EXIT_OK = 0
@@ -46,8 +46,9 @@ EXIT_UNKNOWN = 4
 
 SCHEMA = 1
 
-#: Largest --max-t a sweep over t accepts; each t costs at most one window
-#: search over 2^k subsets, so a larger sweep is refused before any work.
+#: Largest --max-t a sweep over t accepts, refused above before any work.  A
+#: sweep costs min(max_t, q) window searches over 2^k subsets, q the lcm of
+#: the denominators, plus an O(max_t) listing of the answers.
 MAX_T = 100_000
 
 
@@ -137,8 +138,9 @@ def _cmd_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_uniform_check(cfg: RunConfig, args) -> int:
-    failures = [t for t in range(1, _max_t(args) + 1)
-                if uniform.residue_check(args.k, t) is None]
+    max_t = _max_t(args)
+    # the failures are the suitable t of the doubling tuple
+    failures = list(uniform.suitable_ts(power_tuple(args.k), max_t))
     payload = {"k": args.k, "max_t": args.max_t, "failures": failures}
     if failures:
         _emit(cfg, payload,
@@ -424,7 +426,10 @@ def _cmd_batch(cfg: RunConfig, args) -> int:
 # parser and dispatch
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -453,11 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniform-check", help="red-window orderings for the doubling tuple")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-t", type=int, required=True)
+    p.add_argument("--max-t", type=_positive_int, required=True)
 
     p = sub.add_parser("witness-search", help="smallest t whose uniform colouring avoids a tuple")
     p.add_argument("--gaps", required=True)
-    p.add_argument("--max-t", type=int, required=True)
+    p.add_argument("--max-t", type=_positive_int, required=True)
 
     p = sub.add_parser("beatty-check", help="bounded partition check for Beatty sequences")
     p.add_argument("--alphas", required=True)
@@ -479,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suitable-search", help="smallest strongly-suitable t in T")
     p.add_argument("--gaps", required=True)
-    p.add_argument("--max-t", type=int, required=True)
+    p.add_argument("--max-t", type=_positive_int, required=True)
 
     p = sub.add_parser("nearly-ramsey", help="exhaust colourings of Z_n with a black vertex")
     p.add_argument("--gaps", required=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .core import RefutationError
-from .uniform import ResidueInstance, window_order
+from .uniform import doubling_steps, window_order
 
 
 class DoublingBoundaryError(ValueError):
@@ -84,7 +84,7 @@ def orbit_from_seed(x1: Fraction, k: int) -> Optional[DoublingOrbit]:
 
 def orbit_from_uniform(k: int, t: int) -> DoublingOrbit:
     """The orbit v_i / (2^k - 1) built from the signed jump residues."""
-    return DoublingOrbit(ResidueInstance(k=k, t=t).signed, 2**k - 1)
+    return DoublingOrbit(doubling_steps(k, t), 2**k - 1)
 
 
 def prefix_permutation(xs: Union[DoublingOrbit, Sequence[Fraction]],

@@ -5,9 +5,10 @@ monochromatic copy of it, and strongly suitable when additionally no
 2 t d_i is an odd integer (the parity condition that keeps copies away
 from the arc endpoints, where both colours accumulate).  The search space
 is restricted to T = {t : no denominator q_i divides 2t}; a denominator of
-2 empties T outright.  The search is the one sweep `uniform.least_suitable_t`,
-which stops at min(max_t, q), q the lcm of the denominators: every step of
-c_t, and membership in T, depends only on t mod q.
+2 empties T outright.  The search is the first answer of the one sweep
+`uniform.suitable_ts`, which decides only t <= min(max_t, q), q the lcm of
+the denominators: every step of c_t, and membership in T, depends only on
+t mod q.
 
 `nearly_ramsey_finite_check` exhausts every two-colouring of Z_N minus one
 black wildcard vertex and confirms that some copy avoids red or avoids
@@ -23,7 +24,7 @@ from typing import Optional
 
 from .core import Colouring, DistanceTuple
 from .detector import _copy_table
-from .uniform import least_suitable_t
+from .uniform import suitable_ts
 
 
 def t_set_empty(d: DistanceTuple) -> bool:
@@ -41,7 +42,7 @@ def strongly_suitable_search(d: DistanceTuple, max_t: int) -> Optional[int]:
         raise ValueError(f"triple analysis needs k = 3, got k = {d.k}")
     if t_set_empty(d):
         return None
-    return least_suitable_t(d, max_t, strong=True)
+    return next(suitable_ts(d, max_t, strong=True), None)
 
 
 @dataclass(frozen=True)

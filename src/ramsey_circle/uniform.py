@@ -7,19 +7,20 @@ is arithmetic: over the least common denominator q of the tuple, each gap
 moves a vertex by an integer step (`uniform_steps`), and a copy is an order
 of the steps that keeps every partial position in the red window
 {0, ..., q - 1} (`red_order`, for any tuple; `residue_check` is the doubling
-case).  Because the position after a prefix depends only on the set of
-steps used, a memoised search over the 2^k subsets, `window_order`, decides
-this without touching k! orderings; `doubling.prefix_permutation` calls it
-too.  Every sweep over t is `least_suitable_t`, which stops at
-min(max_t, q), since every step depends only on t mod q.
+case, over `doubling_steps`).  Because the position after a prefix depends
+only on the set of steps used, a memoised search over the 2^k subsets,
+`window_order`, decides this without touching k! orderings;
+`doubling.prefix_permutation` calls it too.  Every sweep over t is
+`suitable_ts`: every step depends only on t mod q, so it decides
+t <= min(max_t, q) and repeats those verdicts by period q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import DistanceTuple, RefutationError
 
@@ -43,58 +44,27 @@ def uniform_steps(gaps: Sequence[int], t: int) -> Optional[tuple[int, ...]]:
     return tuple(steps)
 
 
-@dataclass(frozen=True)
-class ResidueInstance:
-    """The modular data of the red-copy question for the doubling tuple.
-
-    The signed jumps are `uniform_steps` of the doubling tuple over
-    q = 2^k - 1, in reverse index order: the gap 2^i / q moves a vertex by
-    2^(i+1) t.  jumps are the same moves as residues 2t, 4t, ..., 2^k t
-    modulo m = 2^(k+1) - 2, and the red window is {0, ..., 2^k - 2}.
-    """
-
-    k: int
-    t: int
-
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError(f"k must be >= 3, got {self.k}")
-        if self.t < 1:
-            raise ValueError("t must be a positive integer")
-
-    @property
-    def m(self) -> int:
-        return 2 ** (self.k + 1) - 2
-
-    @property
-    def window(self) -> int:
-        """Red residues are exactly {0, ..., window - 1}."""
-        return 2 ** self.k - 1
-
-    @cached_property
-    def jumps(self) -> tuple[int, ...]:
-        return tuple(s % self.m for s in self.signed)
-
-    @cached_property
-    def signed(self) -> tuple[int, ...]:
-        signed = uniform_steps(tuple(2 ** i for i in range(self.k)), self.t)
-        if signed is None:
-            # Impossible: jumps are even, 2^k - 1 is odd and m is even.
-            raise RefutationError(f"a jump residue equals 2^k - 1 for k={self.k}, t={self.t}")
-        if sum(signed) != 0:
-            raise RefutationError(
-                f"signed jumps {signed} do not sum to 0 for k={self.k}, t={self.t}")
-        return signed
+def doubling_steps(k: int, t: int) -> tuple[int, ...]:
+    """The doubling tuple's `uniform_steps` in c_t over q = 2^k - 1, with
+    the gap 2^i / q at index i: the move 2^(i+1) t mod 2q, folded into
+    (-q, q); these are the signed jumps 2t, 4t, ..., 2^k t."""
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    steps = uniform_steps(tuple(2**i for i in range(k)), t)
+    if steps is None:
+        # Impossible: every move is even and q is odd.
+        raise RefutationError(f"a jump residue equals 2^k - 1 for k={k}, t={t}")
+    if sum(steps) != 0:
+        raise RefutationError(f"signed jumps {steps} do not sum to 0 for k={k}, t={t}")
+    return steps
 
 
 @dataclass(frozen=True)
 class ResidueWitness:
-    """An order of the jumps keeping every position in the red window."""
+    """An order of the doubling steps keeping every position in the red window."""
 
-    start_residue: int
-    jump_order: tuple[int, ...]   # 0-based indices into ResidueInstance.jumps
-    positions: tuple[int, ...]    # residue after each jump, mod m
-    instance: ResidueInstance
+    jump_order: tuple[int, ...]   # 0-based indices into doubling_steps(k, t)
+    positions: tuple[int, ...]    # position after each step, in [0, 2^k - 1)
 
 
 @lru_cache(maxsize=65536)
@@ -148,16 +118,14 @@ def red_order(steps: Sequence[int], q: int) -> Optional[tuple[int, ...]]:
 def residue_check(k: int, t: int) -> Optional[ResidueWitness]:
     """Decide red-copy existence for the doubling tuple arithmetically.
 
-    This is `red_order` on the doubling tuple's steps, with the walk kept as
-    a witness from residue 0.
+    This is `red_order` on `doubling_steps`, with the walk kept as a witness
+    from position 0.
     """
-    inst = ResidueInstance(k=k, t=t)
-    jump_order = red_order(inst.signed, inst.window)
-    if jump_order is None:
+    steps = doubling_steps(k, t)
+    order = red_order(steps, 2**k - 1)
+    if order is None:
         return None
-    positions = tuple(p % inst.m for p in accumulate(inst.jumps[i] for i in jump_order))
-    return ResidueWitness(start_residue=0, jump_order=jump_order,
-                          positions=positions, instance=inst)
+    return ResidueWitness(order, tuple(accumulate(steps[i] for i in order)))
 
 
 def suitability(d: DistanceTuple, t: int) -> tuple[bool, bool]:
@@ -189,24 +157,31 @@ def uniform_contains_mono_copy(d: DistanceTuple, t: int) -> bool:
     return not suitability(d, t)[0]
 
 
-def least_suitable_t(d: DistanceTuple, max_t: int, strong: bool = False) -> Optional[int]:
-    """The least suitable t <= max_t for d, or with strong the least strongly
-    suitable t in T = {t : no denominator q_i of d divides 2t}; or None.
+def suitable_ts(d: DistanceTuple, max_t: int, strong: bool = False) -> Iterator[int]:
+    """The suitable t <= max_t for d in increasing order, or with strong the
+    strongly suitable t in T = {t : no denominator q_i of d divides 2t}.
 
-    Only t <= min(max_t, q) is tried, q = d.lcm_denominator().  If t = t'
-    mod q, then 2t g - 2t' g is a multiple of 2q, so every step 2t g mod 2q
-    is the same at t and t'; so is 2t mod q_i, since each q_i divides q.
-    The verdict thus depends only on t mod q, which 1..q runs through, so
-    the least t, if any exists, is at most q.
+    Only t <= min(max_t, q) is decided, q = d.lcm_denominator(); those
+    verdicts then repeat by period q up to max_t.  If t = t' mod q, then
+    2t g - 2t' g is a multiple of 2q, so every step 2t g mod 2q is the same
+    at t and t'; so is 2t mod q_i, since each q_i divides q.  The verdict
+    thus depends only on t mod q, which 1..q runs through.
     """
+    q = d.lcm_denominator()
     denominators = d.denominators
-    for t in range(1, min(max_t, d.lcm_denominator()) + 1):
+    period = []
+    for t in range(1, min(max_t, q) + 1):
         if strong and not all(2 * t % p for p in denominators):
             continue
         suitable, strongly = suitability(d, t)
         if strongly if strong else suitable:
-            return t
-    return None
+            period.append(t)
+            yield t
+    for base in range(q, max_t, q):
+        for t in period:
+            if base + t > max_t:
+                return
+            yield base + t
 
 
 def nonpower_witness(d: DistanceTuple, max_t: int) -> Optional[int]:
@@ -215,7 +190,7 @@ def nonpower_witness(d: DistanceTuple, max_t: int) -> Optional[int]:
     For the doubling tuple no witness exists at any bound; finding one would
     overturn the verified small cases, so it is raised, never returned.
     """
-    t = least_suitable_t(d, max_t)
+    t = next(suitable_ts(d, max_t), None)
     if t is not None and d.is_power():
         raise RefutationError(
             f"uniform colouring c_{t} contains no monochromatic copy of "

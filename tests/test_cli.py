@@ -14,8 +14,8 @@ from hypothesis import event, given, settings, strategies as st
 from _reference import prefix_order, run_sweep_item_in_subprocess, uniform_grid_copy
 from ramsey_circle.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK,
                                EXIT_REFUTATION, MAX_T, dispatch)
-from ramsey_circle.core import DistanceTuple
-from ramsey_circle.uniform import ResidueInstance, uniform_steps
+from ramsey_circle.core import DistanceTuple, power_tuple
+from ramsey_circle.uniform import residue_check, uniform_steps
 
 SWEEP_DIR = Path(__file__).resolve().parent.parent / "sweeps"
 
@@ -110,6 +110,80 @@ def test_uniform_check(capsys):
     assert body["failures"] == []
 
 
+def uniform_check_by_t(k, max_t, failed):
+    """What uniform-check prints and returns, from a per-t loop: the JSON
+    line, the human line and the exit code."""
+    failures = [t for t in range(1, max_t + 1) if failed(t)]
+    body = {"command": "uniform-check", "failures": failures, "k": k,
+            "max_t": max_t, "schema": 1}
+    if failures:
+        human = (f"REFUTATION: no red-window ordering for k={k}, t in {failures}; "
+                 "this contradicts the published verification")
+        return json.dumps(body, sort_keys=True), human, EXIT_REFUTATION
+    human = f"all t in [1, {max_t}] admit a red copy for k={k}"
+    return json.dumps(body, sort_keys=True), human, EXIT_OK
+
+
+def assert_uniform_check_matches(capsys, k, max_t, failed):
+    expected_json, expected_human, expected_code = uniform_check_by_t(k, max_t, failed)
+    argv = ["uniform-check", "--k", str(k), "--max-t", str(max_t)]
+    assert dispatch(["--json", *argv]) == expected_code
+    assert capsys.readouterr().out == expected_json + "\n"
+    assert dispatch(argv) == expected_code
+    assert capsys.readouterr().out == expected_human + "\n"
+
+
+def test_uniform_check_matches_a_per_t_residue_loop(capsys):
+    # one period of verdicts, repeated, answers as residue_check at every t
+    for k in range(3, 9):
+        q = 2**k - 1
+        for max_t in (1, q - 1, q, q + 1, 3 * q + 2):
+            assert_uniform_check_matches(capsys, k, max_t,
+                                         lambda t: residue_check(k, t) is None)
+
+
+def test_uniform_check_repeats_an_injected_failure_by_period(capsys, monkeypatch):
+    import ramsey_circle.uniform as umod
+    per_t = umod.suitability
+
+    def fake(d, t):
+        # pretend c_t has no copy at t = 2, 5 mod 7: a verdict of period 7
+        return (True, True) if t % 7 in (2, 5) else per_t(d, t)
+
+    monkeypatch.setattr(umod, "suitability", fake)
+    d = power_tuple(3)
+    for max_t in (1, 2, 6, 7, 8, 9, 23, 100):
+        assert_uniform_check_matches(capsys, 3, max_t, lambda t: fake(d, t)[0])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["uniform-check", "--k", "3", "--max-t", "-3"], "must be at least 1, got -3"),
+    (["uniform-check", "--k", "2", "--max-t", "0"], "must be at least 1, got 0"),
+    (["witness-search", "--gaps", "4/7,2/7,1/7", "--max-t", "0"], "must be at least 1, got 0"),
+    (["suitable-search", "--gaps", "2/5,2/5,1/5", "--max-t", "-1"], "must be at least 1, got -1"),
+    (["witness-search", "--gaps", "4/7,2/7,1/7", "--max-t", "x"], "invalid int value: 'x'"),
+])
+def test_vacuous_sweeps_are_refused(capsys, argv, message):
+    for json_flag in ([], ["--json"]):
+        assert dispatch([*json_flag, *argv]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --max-t: {message}\n")
+
+
+def test_uniform_check_refuses_a_bad_k_before_the_sweep(capsys, monkeypatch):
+    import ramsey_circle.uniform as umod
+
+    def never(*args):
+        raise AssertionError("a t was decided for an invalid k")
+
+    monkeypatch.setattr(umod, "suitability", never)
+    assert dispatch(["uniform-check", "--k", "2", "--max-t", "5"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must be >= 3, got 2\n"
+
+
 def test_witness_search(capsys):
     code, body = run_json(capsys, ["witness-search", "--gaps", "1/2,1/3,1/6",
                                    "--max-t", "10"])
@@ -196,7 +270,9 @@ def test_doubling_random_inputs(k, t, xs, balance, by_orbit):
         return
     body = json.loads(out.getvalue())
     if by_orbit:
-        values = [F(v, 2**k - 1) for v in ResidueInstance(k=k, t=t).signed]
+        m = 2**(k + 1) - 2
+        jumps = [2**(i + 1) * t % m for i in range(k)]
+        values = [F(j if j < 2**k - 1 else j - m, 2**k - 1) for j in jumps]
         assert body["xs"] == [str(x) for x in values]
     else:
         values = xs

@@ -1,18 +1,21 @@
 """Uniform colourings, jump counts, residue orderings, witness sweeps."""
 
+import io
 import itertools
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
 from _reference import (jump_counts, prefix_order, uniform_colouring,
                         uniform_grid_copy, uniform_instance)
+from ramsey_circle.cli import dispatch
 from ramsey_circle.core import (DistanceTuple, RefutationError, discretize,
                                 power_tuple)
 from ramsey_circle.detector import detect_bruteforce, detect_dp
 from ramsey_circle.robust import strongly_suitable_search
-from ramsey_circle.uniform import (ResidueInstance, nonpower_witness,
+from ramsey_circle.uniform import (doubling_steps, nonpower_witness,
                                    red_order, residue_check,
                                    uniform_contains_mono_copy, uniform_steps,
                                    window_order)
@@ -93,19 +96,32 @@ def test_jump_identity_for_powers_small():
             assert jr.identity_holds
 
 
-def test_residue_instance_signed_values():
-    inst = ResidueInstance(k=3, t=1)
-    assert inst.m == 14 and inst.window == 7
-    assert inst.jumps == (2, 4, 8)
-    assert inst.signed == (2, 4, -6)
+def jumps(k, t):
+    """The jump residues 2^(i+1) t mod 2^(k+1) - 2, gap 2^i at index i."""
+    m = 2 ** (k + 1) - 2
+    return tuple(2 ** (i + 1) * t % m for i in range(k))
+
+
+def test_doubling_steps_signed_values():
+    steps = doubling_steps(3, 1)
+    assert jumps(3, 1) == (2, 4, 8)
+    assert tuple(s % 14 for s in steps) == jumps(3, 1)
+    assert steps == (2, 4, -6)
+    assert all(-7 < s < 7 for s in steps)
+
+
+def test_doubling_steps_refuse_bad_parameters():
+    with pytest.raises(ValueError, match="k must be >= 3, got 2"):
+        doubling_steps(2, 1)
+    with pytest.raises(ValueError, match="t must be a positive integer"):
+        doubling_steps(3, 0)
 
 
 def test_residue_check_k3_t1():
     w = residue_check(3, 1)
-    assert w.start_residue == 0
-    assert tuple(w.instance.jumps[i] for i in w.jump_order) == (2, 4, 8)
+    assert tuple(jumps(3, 1)[i] for i in w.jump_order) == (2, 4, 8)
     assert w.positions == (2, 6, 0)
-    assert all(p < w.instance.window for p in w.positions)
+    assert all(p < 7 for p in w.positions)
     chain = [frozenset(w.jump_order[:j]) for j in range(1, len(w.jump_order) + 1)]
     assert [len(s) for s in chain] == [1, 2, 3]
     assert chain[0] < chain[1] < chain[2]
@@ -116,9 +132,10 @@ def test_residue_check_all_t_k3():
         w = residue_check(3, t)
         assert w is not None
         pos = 0
-        for i in w.jump_order:
-            pos = (pos + w.instance.jumps[i]) % 14
+        for i, position in zip(w.jump_order, w.positions):
+            pos = (pos + jumps(3, t)[i]) % 14
             assert pos < 7
+            assert position == pos
 
 
 def first_window_permutation(values, window):
@@ -349,6 +366,10 @@ def test_sweep_on_a_period_seven_tuple_tries_at_most_seven_t(monkeypatch):
     tried.clear()
     assert strongly_suitable_search(power_tuple(3), 100_000) is None
     assert tried == [1, 2, 3, 4, 5, 6]   # 7 divides 2 * 7, so t = 7 is outside T
+    tried.clear()
+    with redirect_stdout(io.StringIO()):
+        assert dispatch(["uniform-check", "--k", "3", "--max-t", "100000"]) == 0
+    assert tried == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_sweeps_scale_each_tuple_once(monkeypatch):
@@ -373,7 +394,9 @@ def test_signed_jumps_sum_zero_sweep():
     for k in range(3, 9):
         m = 2 ** (k + 1) - 2
         for t in range(1, m + 1):
-            assert sum(ResidueInstance(k=k, t=t).signed) == 0
+            steps = doubling_steps(k, t)
+            assert sum(steps) == 0
+            assert tuple(s % m for s in steps) == jumps(k, t)
 
 
 def test_residue_verdict_periodic_in_t():
@@ -381,5 +404,6 @@ def test_residue_verdict_periodic_in_t():
     for k in (3, 4):
         m = 2 ** (k + 1) - 2
         for t in range(1, m + 1):
-            assert ResidueInstance(k, t).jumps == ResidueInstance(k, t + m).jumps
+            assert jumps(k, t) == jumps(k, t + m)
+            assert doubling_steps(k, t) == doubling_steps(k, t + m)
             assert (residue_check(k, t) is None) == (residue_check(k, t + m) is None)
