@@ -28,7 +28,6 @@ import json
 import os
 import shlex
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -52,16 +51,9 @@ SCHEMA = 1
 MAX_T = 100_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    json_output: bool
-    parallelism: int
-
-
-def _emit(cfg: RunConfig, payload: dict, human: Sequence[str]) -> None:
-    if cfg.json_output:
-        body = {"schema": SCHEMA, "command": cfg.command}
+def _emit(args, payload: dict, human: Sequence[str]) -> None:
+    if args.json:
+        body = {"schema": SCHEMA, "command": args.command}
         body.update(payload)
         print(json.dumps(body, sort_keys=True, default=str))
     else:
@@ -112,14 +104,14 @@ def _read_restriction(path: str) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_check(cfg: RunConfig, args) -> int:
+def _cmd_check(args) -> int:
     c = parse_colouring(Path(args.input).read_text(encoding="utf-8"))
     inst = _parse_gaps(args.gaps, c.n)
     restriction = _read_restriction(args.restrict) if args.restrict else None
     if args.count:
         red, blue = count_copies(c, inst)
-        _emit(cfg, {"red_count": red, "blue_count": blue,
-                    "total": red + blue, "n": inst.n},
+        _emit(args, {"red_count": red, "blue_count": blue,
+                     "total": red + blue, "n": inst.n},
               [f"red copies: {red}", f"blue copies: {blue}"])
         return EXIT_OK if red + blue else EXIT_NEGATIVE
     if args.dp and restriction is not None:
@@ -129,40 +121,40 @@ def _cmd_check(cfg: RunConfig, args) -> int:
     else:
         witness = detect_dp(c, inst)
     if witness is None:
-        _emit(cfg, {"witness": None, "n": inst.n}, ["no monochromatic copy"])
+        _emit(args, {"witness": None, "n": inst.n}, ["no monochromatic copy"])
         return EXIT_NEGATIVE
     # the witness itself is always printed as JSON, in either output mode
-    _emit(cfg, {"witness": _witness_payload(witness), "n": inst.n},
+    _emit(args, {"witness": _witness_payload(witness), "n": inst.n},
           [json.dumps(_witness_payload(witness), sort_keys=True)])
     return EXIT_OK
 
 
-def _cmd_uniform_check(cfg: RunConfig, args) -> int:
+def _cmd_uniform_check(args) -> int:
     max_t = _max_t(args)
     # the failures are the suitable t of the doubling tuple
     failures = list(uniform.suitable_ts(power_tuple(args.k), max_t))
     payload = {"k": args.k, "max_t": args.max_t, "failures": failures}
     if failures:
-        _emit(cfg, payload,
+        _emit(args, payload,
               [f"REFUTATION: no red-window ordering for k={args.k}, "
                f"t in {failures}; this contradicts the published verification"])
         return EXIT_REFUTATION
-    _emit(cfg, payload, [f"all t in [1, {args.max_t}] admit a red copy for k={args.k}"])
+    _emit(args, payload, [f"all t in [1, {args.max_t}] admit a red copy for k={args.k}"])
     return EXIT_OK
 
 
-def _cmd_witness_search(cfg: RunConfig, args) -> int:
+def _cmd_witness_search(args) -> int:
     d = _parse_distance_tuple(args.gaps)
     t = uniform.nonpower_witness(d, _max_t(args))
     payload = {"gaps": [str(x) for x in d.distances], "max_t": args.max_t, "t": t}
     if t is None:
-        _emit(cfg, payload, [f"none (no witness t <= {args.max_t})"])
+        _emit(args, payload, [f"none (no witness t <= {args.max_t})"])
         return EXIT_NEGATIVE
-    _emit(cfg, payload, [f"t = {t}"])
+    _emit(args, payload, [f"t = {t}"])
     return EXIT_OK
 
 
-def _cmd_beatty_check(cfg: RunConfig, args) -> int:
+def _cmd_beatty_check(args) -> int:
     alphas = parse_fraction_list(args.alphas)
     if args.half:
         pair = beatty.BeattyPair.half_shift(alphas)
@@ -198,13 +190,13 @@ def _cmd_beatty_check(cfg: RunConfig, args) -> int:
                 human.append(f"period length {report.period_length}, symmetric: {report.symmetric}, "
                              f"densities {[str(x) for x in report.densities]}, "
                              f"power: {report.power_flag}")
-        _emit(cfg, payload, human)
+        _emit(args, payload, human)
         return EXIT_OK
     if verdict.kind == "collision":
         i, j = verdict.sequences
-        _emit(cfg, payload, [f"collision at value {verdict.value} (sequences {i} and {j})"])
+        _emit(args, payload, [f"collision at value {verdict.value} (sequences {i} and {j})"])
     else:
-        _emit(cfg, payload, [f"gap at value {verdict.value}"])
+        _emit(args, payload, [f"gap at value {verdict.value}"])
     return EXIT_NEGATIVE
 
 
@@ -221,7 +213,7 @@ def _parse_period(text: str) -> beatty.BalancedWord:
     return beatty.BalancedWord(tuple(letters))
 
 
-def _cmd_balanced_check(cfg: RunConfig, args) -> int:
+def _cmd_balanced_check(args) -> int:
     word = _parse_period(args.period)
     verdict = beatty.balanced_check(word)
     dens = beatty.densities(word)
@@ -230,15 +222,15 @@ def _cmd_balanced_check(cfg: RunConfig, args) -> int:
                "letter": verdict.letter, "window_length": verdict.window_length,
                "positions": list(verdict.positions) if verdict.positions else None}
     if verdict.balanced:
-        _emit(cfg, payload, [f"balanced; densities {[str(x) for x in dens]}"])
+        _emit(args, payload, [f"balanced; densities {[str(x) for x in dens]}"])
         return EXIT_OK
-    _emit(cfg, payload,
+    _emit(args, payload,
           [f"not balanced: letter {verdict.letter} differs by more than 1 over "
            f"windows of length {verdict.window_length} at starts {verdict.positions}"])
     return EXIT_NEGATIVE
 
 
-def _cmd_doubling(cfg: RunConfig, args) -> int:
+def _cmd_doubling(args) -> int:
     if args.xs:
         xs = list(parse_fraction_list(args.xs))
         payload: dict = {"xs": [str(x) for x in xs]}
@@ -250,13 +242,13 @@ def _cmd_doubling(cfg: RunConfig, args) -> int:
     pi = doubling.prefix_permutation(xs)
     payload["permutation"] = list(pi) if pi else None
     if pi is None:
-        _emit(cfg, payload, ["none"])
+        _emit(args, payload, ["none"])
         return EXIT_NEGATIVE
-    _emit(cfg, payload, [" ".join(map(str, pi))])
+    _emit(args, payload, [" ".join(map(str, pi))])
     return EXIT_OK
 
 
-def _cmd_suitable(cfg: RunConfig, args) -> int:
+def _cmd_suitable(args) -> int:
     d = _parse_distance_tuple(args.gaps)
     suitable, strong = uniform.suitability(d, args.t)
     payload = {"gaps": [str(x) for x in d.distances], "t": args.t,
@@ -265,52 +257,52 @@ def _cmd_suitable(cfg: RunConfig, args) -> int:
     if d.k == 3:
         payload["strongly_suitable"] = strong
         human.append(f"strongly suitable: {strong}")
-    _emit(cfg, payload, human)
+    _emit(args, payload, human)
     return EXIT_OK if suitable else EXIT_NEGATIVE
 
 
-def _cmd_suitable_search(cfg: RunConfig, args) -> int:
+def _cmd_suitable_search(args) -> int:
     d = _parse_distance_tuple(args.gaps)
     t = robust.strongly_suitable_search(d, _max_t(args))
     t_set_empty = robust.t_set_empty(d)
     payload = {"gaps": [str(x) for x in d.distances], "max_t": args.max_t,
                "t": t, "t_set_empty": t_set_empty}
     if t is not None:
-        _emit(cfg, payload, [f"t = {t}"])
+        _emit(args, payload, [f"t = {t}"])
         return EXIT_OK
     if t_set_empty:
-        _emit(cfg, payload, ["none: T empty (a distance has denominator 2, "
+        _emit(args, payload, ["none: T empty (a distance has denominator 2, "
                              "which divides every 2t)"])
     else:
-        _emit(cfg, payload, [f"none (searched T up to t = {args.max_t})"])
+        _emit(args, payload, [f"none (searched T up to t = {args.max_t})"])
     return EXIT_NEGATIVE
 
 
-def _cmd_nearly_ramsey(cfg: RunConfig, args) -> int:
+def _cmd_nearly_ramsey(args) -> int:
     d = _parse_distance_tuple(args.gaps)
     result = robust.nearly_ramsey_finite_check(d, args.n)
     payload = {"gaps": [str(x) for x in d.distances], "n": args.n,
                "verified": result.verified,
                "colourings_checked": result.colourings_checked}
     if result.verified:
-        _emit(cfg, payload,
+        _emit(args, payload,
               [f"verified over all {result.colourings_checked} colourings of "
                f"Z_{args.n} with vertex 0 black"])
         return EXIT_OK
     payload["counterexample"] = serialize_colouring(result.counterexample)
     if robust.is_claimed_nearly_ramsey(d):
         # for these triples the forcing argument covers every fitting N
-        _emit(cfg, payload,
+        _emit(args, payload,
               ["REFUTATION: colouring with no copy avoiding a colour:",
                serialize_colouring(result.counterexample).rstrip()])
         return EXIT_REFUTATION
-    _emit(cfg, payload,
+    _emit(args, payload,
           ["not forced: a colouring avoids both colours, e.g.",
            serialize_colouring(result.counterexample).rstrip()])
     return EXIT_NEGATIVE
 
 
-def _cmd_majority(cfg: RunConfig, args) -> int:
+def _cmd_majority(args) -> int:
     params = majority_mod.MajorityParams(k=args.k, eps=parse_fraction(args.eps))
     verdict = majority_mod.majority_verify(params)
     if args.emit:
@@ -321,41 +313,41 @@ def _cmd_majority(cfg: RunConfig, args) -> int:
                "no_red_copy": verdict.no_red_copy,
                "witness": _witness_payload(verdict.witness) if verdict.witness else None}
     if verdict.no_red_copy:
-        _emit(cfg, payload,
+        _emit(args, payload,
               [f"no red copy on grid {verdict.grid}; red denser by {verdict.density_gap}"])
         return EXIT_OK
-    _emit(cfg, payload,
+    _emit(args, payload,
           [f"REFUTATION: red copy found at vertices {list(verdict.witness.vertices)}"])
     return EXIT_REFUTATION
 
 
-def _cmd_cnf(cfg: RunConfig, args) -> int:
+def _cmd_cnf(args) -> int:
     formula = satgen.cnf_generate(args.k)
     text = satgen.dimacs_write(formula, comments=(f"k = {args.k}",))
     if args.out == "-":
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text, encoding="utf-8")
-        if not cfg.json_output:
+        if not args.json:
             print(f"wrote {formula.num_vars} variables, {formula.num_clauses} "
                   f"clauses to {args.out}")
     return EXIT_OK
 
 
-def _cmd_solve(cfg: RunConfig, args) -> int:
+def _cmd_solve(args) -> int:
     outcome = satgen.verify_unavoidable(args.k, solver_command=args.solver,
                                         timeout=args.timeout)
     payload = {"k": args.k, "status": outcome.status,
                "model": serialize_colouring(outcome.model) if outcome.model else None}
     if outcome.status == "UNSAT":
-        _emit(cfg, payload, [f"UNSAT: every colouring of the {2**args.k - 1}-gon "
+        _emit(args, payload, [f"UNSAT: every colouring of the {2**args.k - 1}-gon "
                              "contains a monochromatic copy"])
         return EXIT_OK
     if outcome.status == "SAT":
-        _emit(cfg, payload, ["REFUTATION: counterexample colouring found:",
+        _emit(args, payload, ["REFUTATION: counterexample colouring found:",
                              serialize_colouring(outcome.model).rstrip()])
         return EXIT_REFUTATION
-    _emit(cfg, payload, ["unknown (solver timeout)"])
+    _emit(args, payload, ["unknown (solver timeout)"])
     return EXIT_UNKNOWN
 
 
@@ -387,13 +379,13 @@ def _run_sweep_item(argv: list[str], spec_dir: Path) -> int:
         return dispatch(resolved)
 
 
-def _cmd_batch(cfg: RunConfig, args) -> int:
+def _cmd_batch(args) -> int:
     spec_path = Path(args.spec)
     items = _parse_sweep(spec_path)
     spec_dir = spec_path.resolve().parent
     # Worker processes, not threads: stdout redirection is process-global.
     # A fork pool starts all its workers up front, hence the caps.
-    workers = max(1, min(cfg.parallelism, len(items), os.cpu_count() or 1))
+    workers = max(1, min(args.parallel, len(items), os.cpu_count() or 1))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_run_sweep_item, [argv for _, argv in items],
                                 itertools.repeat(spec_dir)))
@@ -413,7 +405,7 @@ def _cmd_batch(cfg: RunConfig, args) -> int:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.report:
         Path(args.report).write_text(text, encoding="utf-8")
-    if cfg.json_output or not args.report:
+    if args.json or not args.report:
         sys.stdout.write(text)
     else:
         print(f"{passed}/{len(items)} passed")
@@ -486,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", required=True)
     p.add_argument("--max-t", type=_positive_int, required=True)
 
-    p = sub.add_parser("nearly-ramsey", help="exhaust colourings of Z_n with a black vertex")
+    p = sub.add_parser("nearly-ramsey", help="decide every colouring of Z_n with a black vertex")
     p.add_argument("--gaps", required=True)
     p.add_argument("--n", type=int, required=True)
 
@@ -535,10 +527,8 @@ def dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
-    cfg = RunConfig(command=args.command, json_output=args.json,
-                    parallelism=args.parallel)
     try:
-        return _HANDLERS[args.command](cfg, args)
+        return _HANDLERS[args.command](args)
     except RefutationError as exc:
         print(f"REFUTATION: {exc}", file=sys.stderr)
         return EXIT_REFUTATION

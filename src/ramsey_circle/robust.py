@@ -10,10 +10,10 @@ is restricted to T = {t : no denominator q_i divides 2t}; a denominator of
 the denominators: every step of c_t, and membership in T, depends only on
 t mod q.
 
-`nearly_ramsey_finite_check` exhausts every two-colouring of Z_N minus one
-black wildcard vertex and confirms that some copy avoids red or avoids
-blue entirely, which is the finite core of the forcing arguments for the
-known nearly-Ramsey triples.
+`nearly_ramsey_finite_check` solves `satgen.copy_formula` with the bundled
+CDCL solver, as `solve` does, to confirm that every two-colouring of Z_N
+minus one black wildcard vertex has a copy avoiding red or avoiding blue,
+the finite core of the forcing arguments for the nearly-Ramsey triples.
 """
 
 from __future__ import annotations
@@ -23,8 +23,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Colouring, DistanceTuple
-from .detector import _copy_table
+from .detector import detect_bruteforce
 from .uniform import suitable_ts
+
+#: Largest N the finite check accepts, refused above before any work: a
+#: verified N costs one solve, a counterexample up to N.
+MAX_N = 256
 
 
 def t_set_empty(d: DistanceTuple) -> bool:
@@ -75,27 +79,37 @@ def is_claimed_nearly_ramsey(d: DistanceTuple) -> bool:
 
 
 def nearly_ramsey_finite_check(d: DistanceTuple, N: int) -> FiniteCheckResult:
-    """Exhaust all two-colourings of Z_N with vertex 0 black.
+    """Decide every two-colouring of Z_N with vertex 0 black, N <= MAX_N.
 
     Verified means every such colouring contains a copy of d whose vertices
     are all red-or-black or all blue-or-black.  Fixing the black vertex at 0
     loses nothing: rotations act transitively on Z_N.  d must discretise on
-    Z_N exactly.
+    Z_N exactly.  The black vertex matches both colours, so its literal
+    leaves every clause of `copy_formula`, and UNSAT verifies.  Otherwise
+    vertices N - 1 down to 1 are fixed blue while the formula stays
+    satisfiable, red when not: the least red mask, the first counterexample
+    an ascending scan of the masks meets.
     """
+    from .dimacs_solver import Solver   # here: importing robust loads no SAT code
+    from .satgen import ModelValidationError, copy_formula
+
     if d.k != 3:
         raise ValueError(f"finite check is defined for triples, got k = {d.k}")
-    masks = [entry[3] for entry in _copy_table(N, d.on(N).gaps)]
-    full_rest = (1 << N) - 2   # vertices 1..N-1
-    for bits in range(1 << (N - 1)):
-        red = bits << 1
-        red_class = red | 1
-        blue_class = (full_rest ^ red) | 1
-        for mask in masks:
-            if mask & red_class == mask or mask & blue_class == mask:
-                break
-        else:
-            return FiniteCheckResult(verified=False,
-                                     counterexample=Colouring(n=N, red_mask=red, black=0),
-                                     colourings_checked=bits + 1)
-    return FiniteCheckResult(verified=True, counterexample=None,
-                             colourings_checked=1 << (N - 1))
+    if N > MAX_N:
+        raise ValueError(f"N = {N} is above the limit {MAX_N}")
+    inst = d.on(N)
+    clauses = [[lit for lit in clause if abs(lit) != 1]
+               for clause in copy_formula(N, inst.gaps).clauses]
+    model = Solver(N, clauses).solve()
+    if model is None:
+        return FiniteCheckResult(True, None, 1 << (N - 1))
+    for var in range(N, 1, -1):   # variable var is vertex var - 1
+        if model[var]:
+            model = Solver(N, clauses + [[-var]]).solve() or model
+        clauses.append([var if model[var] else -var])
+    red = sum(1 << v for v in range(1, N) if model[v + 1])
+    counterexample = Colouring(n=N, red_mask=red, black=0)
+    witness = detect_bruteforce(counterexample, inst)
+    if witness is not None:
+        raise ModelValidationError(f"counterexample on Z_{N} holds the copy {witness}")
+    return FiniteCheckResult(False, counterexample, red // 2 + 1)

@@ -1,11 +1,11 @@
-"""CNF generation and external SAT solving for the doubling-tuple question.
+"""CNF generation and external SAT solving for the forcing questions.
 
-For each k the formula has one boolean variable per vertex of the regular
-(2^k - 1)-gon (variable v+1 true means vertex v is red) and two clauses per
-permuted copy of the doubling gaps: the positive clauses forbid all-blue
-copies, the negated ones all-red copies.  The formula is satisfiable iff
-some two-colouring avoids monochromatic copies entirely, so UNSAT verifies
-unavoidability at that k and a model is a counterexample colouring.
+`copy_formula(n, gaps)` has one boolean variable per vertex of Z_n
+(variable v+1 true means vertex v is red) and two clauses per permuted copy
+of the gaps: the positive clauses forbid all-blue copies, the negated ones
+all-red copies.  It is satisfiable iff some two-colouring avoids
+monochromatic copies, so UNSAT verifies unavoidability and a model is a
+counterexample; `cnf_generate(k)` is its doubling tuple on the (2^k - 1)-gon.
 
 Solving is delegated to an external solver run as a subprocess on a DIMACS
 file; any tool emitting SAT-competition output ("s SATISFIABLE" /
@@ -86,27 +86,29 @@ class SolverOutcome:
             raise ValueError("model must be present exactly when status is SAT")
 
 
-def cnf_generate(k: int) -> CnfFormula:
-    """Both clause families over the canonical copy enumeration.
+def copy_formula(n: int, gaps: Sequence[int]) -> CnfFormula:
+    """Both clause families for non-increasing gaps summing to n, positive first.
 
-    Copies are enumerated once each as (start vertex of the largest gap,
-    permutation of the remaining gaps), giving 2 (2^k - 1) (k-1)! clauses
-    of k same-sign literals.
+    Copies are enumerated as (start vertex of the largest gap, ordering of
+    the remaining gaps, each once), which meets every copy, and each copy
+    of distinct gaps once: 2 n (k-1)! clauses.
     """
-    if not MIN_K <= k <= MAX_K:
-        raise ValueError(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
-    n = 2**k - 1
-    gaps = tuple(2**(k - 1 - i) for i in range(k))
     # The offsets from the start vertex of one copy, one getter per ordering
     # of the gaps after the largest; the start-v row of `literal` holds the
     # literal (v + o) mod n + 1 of vertex v + o at position o < n.
     copies = [operator.itemgetter(*itertools.accumulate((gaps[0],) + rest[:-1], initial=0))
-              for rest in itertools.permutations(gaps[1:])]
+              for rest in dict.fromkeys(itertools.permutations(gaps[1:]))]
     literal = list(range(1, n + 1)) * 2
     negated = [-lit for lit in literal]
     positive = [copy(row) for row in (literal[v:v + n] for v in range(n)) for copy in copies]
     negative = [copy(row) for row in (negated[v:v + n] for v in range(n)) for copy in copies]
     return CnfFormula(num_vars=n, clauses=tuple(positive + negative))
+
+
+def cnf_generate(k: int) -> CnfFormula:
+    if not MIN_K <= k <= MAX_K:
+        raise ValueError(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
+    return copy_formula(2**k - 1, tuple(2**(k - 1 - i) for i in range(k)))
 
 
 def dimacs_write(f: CnfFormula, comments: Sequence[str] = ()) -> str:

@@ -79,28 +79,31 @@ def window_order(values: tuple[int, ...], window: int) -> Optional[tuple[int, ..
     """
     k = len(values)
     failed: set[int] = set()
-    out: list[int] = []
-
-    def extend(total: int, used_bits: int) -> bool:
-        if len(out) == k:
-            return True
-        if used_bits in failed:
-            return False
-        tried: set[int] = set()
-        for i in range(k):
+    # One frame per placed step: the prefix sum, used subset and tried
+    # values before it, and its index, after which the search resumes.
+    stack: list[tuple[int, int, set[int], int]] = []
+    total = used_bits = start = 0
+    tried: set[int] = set()
+    while len(stack) < k:
+        for i in range(start, k):
             v = values[i]
             if used_bits >> i & 1 or v in tried:
                 continue
             tried.add(v)
-            if 0 <= total + v < window:
-                out.append(i)
-                if extend(total + v, used_bits | (1 << i)):
-                    return True
-                out.pop()
-        failed.add(used_bits)
-        return False
-
-    return tuple(out) if extend(0, 0) else None
+            if 0 <= total + v < window and used_bits | 1 << i not in failed:
+                stack.append((total, used_bits, tried, i))
+                total += v
+                used_bits |= 1 << i
+                start = 0
+                tried = set()
+                break
+        else:
+            failed.add(used_bits)
+            if not stack:
+                return None
+            total, used_bits, tried, start = stack.pop()
+            start += 1
+    return tuple(frame[3] for frame in stack)
 
 
 def red_order(steps: Sequence[int], q: int) -> Optional[tuple[int, ...]]:

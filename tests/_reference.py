@@ -1,5 +1,6 @@
 """Test-only reference routes, kept independent of the code they check."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from ramsey_circle.beatty import (BalanceVerdict, BeattyPair, FraenkelReport,
 from ramsey_circle.core import (Colouring, DiscreteInstance, DistanceTuple,
                                 power_tuple)
 from ramsey_circle.detector import find_copy_in_class
+from ramsey_circle.robust import FiniteCheckResult
 
 
 def uniform_colouring(t: int, grid: int) -> Colouring:
@@ -42,6 +44,29 @@ def uniform_grid_copy(d: DistanceTuple, t: int) -> Optional[tuple[tuple[int, ...
     by the bitset kernel; by colour-swap symmetry red suffices."""
     c, inst = uniform_instance(d, t)
     return find_copy_in_class(c.red_mask, c.n, inst.gaps)
+
+
+def nearly_ramsey_exhaustive(d: DistanceTuple, N: int) -> FiniteCheckResult:
+    """Walk the two-colourings of Z_N with vertex 0 black in ascending red
+    mask and stop at the first where no copy of d is all red-or-black or all
+    blue-or-black; 2^(N-1) colourings when every one has such a copy."""
+    gaps = d.on(N).gaps
+    masks = sorted({sum(1 << (v + o) % N for o in itertools.accumulate(order[:-1], initial=0))
+                    for v in range(N) for order in itertools.permutations(gaps)})
+    full_rest = (1 << N) - 2   # vertices 1..N-1
+    for bits in range(1 << (N - 1)):
+        red = bits << 1
+        red_class = red | 1
+        blue_class = (full_rest ^ red) | 1
+        for mask in masks:
+            if mask & red_class == mask or mask & blue_class == mask:
+                break
+        else:
+            return FiniteCheckResult(verified=False,
+                                     counterexample=Colouring(n=N, red_mask=red, black=0),
+                                     colourings_checked=bits + 1)
+    return FiniteCheckResult(verified=True, counterexample=None,
+                             colourings_checked=1 << (N - 1))
 
 
 def dfs_copy_in_class(class_mask: int, n: int, gaps: Sequence[int],

@@ -238,6 +238,18 @@ def test_doubling_from_kt(capsys):
     assert body["xs"] == ["2/7", "4/7", "-6/7"]
 
 
+@pytest.mark.parametrize("argv, key, expected", [
+    (["doubling", "--k", "1000", "--t", "1"], "permutation", list(range(1, 1001))),
+    (["uniform-check", "--k", "1200", "--max-t", "1"], "failures", []),
+])
+def test_a_thousand_step_window_search_answers(capsys, argv, key, expected):
+    # the search keeps one frame per placed step, not one Python call
+    assert dispatch(["--json", *argv]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)[key] == expected
+
+
 @pytest.mark.parametrize("k, t, xs", [
     (4, 5, ["2/3", "-2/3", "2/3", "-2/3"]),
     (3, 7, ["0", "0", "0"]),
@@ -379,6 +391,21 @@ def test_nearly_ramsey(capsys):
     assert body["colourings_checked"] == 128
 
 
+def test_nearly_ramsey_above_the_limit_is_refused_before_any_work(capsys, monkeypatch):
+    from ramsey_circle import robust, satgen
+
+    def never(*args):
+        raise AssertionError("the formula was built")
+
+    monkeypatch.setattr(satgen, "copy_formula", never)
+    for json_flag in ([], ["--json"]):
+        argv = [*json_flag, "nearly-ramsey", "--gaps", "1/2,1/4,1/4", "--n", "260"]
+        assert dispatch(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: N = 260 is above the limit {robust.MAX_N}\n"
+
+
 def test_nearly_ramsey_unclaimed_counterexample_is_negative(capsys):
     # (1/3, 1/3, 1/3) is not among the forced triples: plain negative
     code, body = run_json(capsys, ["nearly-ramsey", "--gaps", "1/3,1/3,1/3",
@@ -435,7 +462,9 @@ def dispatch_argv(draw, colouring_dir):
         eps = F(q // draw(st.integers(60, 140)) + draw(st.integers(-1, 1)), q)
         k = draw(st.sampled_from([6, 7, 6, 8, 9, 5, 0]))
         return [command, "--k", str(k), "--eps", str(eps)]
-    n = draw(st.integers(1, 14))
+    # the finite check solves one formula, so n runs past where 2^(n-1)
+    # colourings could be walked
+    n = draw(st.integers(1, 40 if command == "nearly-ramsey" else 14))
     # the grid commands fit a tuple over n only if n is a multiple of q
     gaps = draw(fraction_list(draw(st.one_of(st.just(n), denominator))))
     if command == "suitable":

@@ -5,9 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from _reference import nearly_ramsey_exhaustive
+from ramsey_circle import satgen
 from ramsey_circle.core import DistanceTuple, power_tuple
-from ramsey_circle.robust import (nearly_ramsey_finite_check,
+from ramsey_circle.robust import (MAX_N, nearly_ramsey_finite_check,
                                   strongly_suitable_search, t_set_empty)
+from ramsey_circle.satgen import CnfFormula, ModelValidationError
 from ramsey_circle.uniform import suitability
 
 HALF_THIRD_SIXTH = DistanceTuple((F(1, 2), F(1, 3), F(1, 6)))
@@ -111,9 +114,69 @@ def test_finite_check_twelve_gons():
         assert result.colourings_checked == 2048
 
 
-def test_finite_check_needs_fitting_grid():
+@pytest.mark.parametrize("d,n", [
+    (NEARLY_RAMSEY[0], 64),
+    (NEARLY_RAMSEY[2], 72),
+])
+def test_finite_check_verifies_at_large_n(d, n):
+    # 2^63 and 2^71 colourings: decided by one UNSAT formula
+    result = nearly_ramsey_finite_check(d, n)
+    assert result.verified and result.counterexample is None
+    assert result.colourings_checked == 2**(n - 1)
+
+
+def test_finite_check_needs_fitting_grid(monkeypatch):
     with pytest.raises(ValueError):
         nearly_ramsey_finite_check(NEARLY_RAMSEY[0], 9)
+
+    def never(*args):
+        raise AssertionError("the formula was built")
+
+    monkeypatch.setattr(satgen, "copy_formula", never)
+    # a fitting N above the limit is refused before any work
+    with pytest.raises(ValueError, match=f"above the limit {MAX_N}"):
+        nearly_ramsey_finite_check(DistanceTuple((F(1, 2), F(1, 4), F(1, 4))), 260)
+
+
+def test_finite_check_rejects_a_counterexample_holding_a_copy(monkeypatch):
+    # a broken encoding that keeps only the clauses forbidding all-red copies
+    # yields the all-blue colouring, which the detector re-check refuses
+    real = satgen.copy_formula
+
+    def negated_half(n, gaps):
+        f = real(n, gaps)
+        return CnfFormula(f.num_vars, f.clauses[f.num_clauses // 2:])
+
+    monkeypatch.setattr(satgen, "copy_formula", negated_half)
+    with pytest.raises(ModelValidationError, match="holds the copy"):
+        nearly_ramsey_finite_check(NEARLY_RAMSEY[0], 8)
+
+
+def small_triples():
+    """Every (d, N) with d a triple that discretises on Z_N, 3 <= N <= 16:
+    123 pairs, one per partition of N into three parts."""
+    for n in range(3, 17):
+        for a in range(n - 2, 0, -1):
+            for b in range(min(a, n - a - 1), 0, -1):
+                if n - a - b <= b:
+                    yield DistanceTuple((F(a, n), F(b, n), F(n - a - b, n))), n
+
+
+def test_finite_check_matches_the_exhaustive_oracle():
+    pairs = list(small_triples())
+    assert len(pairs) == 123
+    # counterexamples on larger N, where the walk stops after at most 4096
+    # colourings (1024 for the equilateral triple on Z_30)
+    pairs += [(DistanceTuple(tuple(F(g, n) for g in gaps)), n) for gaps, n in [
+        ((10, 10, 10), 30), ((6, 6, 5), 17), ((7, 6, 4), 17), ((10, 9, 9), 28),
+        ((12, 11, 5), 28), ((11, 10, 9), 30), ((11, 11, 10), 32)]]
+    verdicts = set()
+    for d, n in pairs:
+        expected = nearly_ramsey_exhaustive(d, n)
+        assert nearly_ramsey_finite_check(d, n) == expected, (d.distances, n)
+        verdicts.add(expected.verified)
+    assert verdicts == {True, False}
+    assert nearly_ramsey_exhaustive(EQUILATERAL, 30).colourings_checked == 1024
 
 
 def test_finite_check_reports_counterexamples():

@@ -1,5 +1,6 @@
 """CNF generation, DIMACS round-trips, and the external-solver pipeline."""
 
+import itertools
 import os
 import random
 import stat
@@ -16,7 +17,7 @@ from ramsey_circle.detector import detect_bruteforce
 from ramsey_circle.dimacs_solver import Solver
 from ramsey_circle.satgen import (CnfFormula, ModelValidationError,
                                   SolverNotFoundError, SolverOutputError,
-                                  cnf_generate, default_solver_command,
+                                  cnf_generate, copy_formula, default_solver_command,
                                   dimacs_read, dimacs_write, solve_external,
                                   verify_unavoidable)
 
@@ -57,6 +58,28 @@ def test_each_copy_encoded_once():
         diffs = sorted((b - a) % 7 for a, b in
                        zip(ordered, ordered[1:] + ordered[:1]))
         assert diffs == [1, 2, 4]
+
+
+@pytest.mark.parametrize("n, gaps", [
+    (6, (2, 2, 2)), (8, (3, 3, 2)), (10, (4, 3, 3)), (12, (3, 3, 3, 3)), (7, (4, 2, 1)),
+])
+def test_copy_formula_has_both_clauses_of_every_copy(n, gaps):
+    # repeated gaps included: every copy, from any start in any order, has
+    # its positive and its negated clause, and every clause is a copy
+    f = copy_formula(n, gaps)
+    assert f.num_vars == n
+    copies = {frozenset((v + sum(order[:i])) % n for i in range(len(order)))
+              for v in range(n) for order in itertools.permutations(gaps)}
+    positive = {frozenset(lit - 1 for lit in c) for c in f.clauses if c[0] > 0}
+    negative = {frozenset(-lit - 1 for lit in c) for c in f.clauses if c[0] < 0}
+    assert positive == negative == copies
+    assert all(len(c) == len(gaps) for c in f.clauses)
+    signs = [c[0] > 0 for c in f.clauses]
+    assert signs == sorted(signs, reverse=True)   # positive clauses first
+    if n == 6:
+        assert copies == {frozenset({0, 2, 4}), frozenset({1, 3, 5})}
+    if n == 7:
+        assert f == cnf_generate(3)
 
 
 def test_k_range_enforced(capsys):
