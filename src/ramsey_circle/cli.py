@@ -491,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True, help="output path, or - for stdout")
 
-    p = sub.add_parser("solve", help="run an external SAT solver on the formula for k")
+    p = sub.add_parser("solve", help="solve the formula for k: the bundled solver "
+                                     "in-process, or a solver command as a subprocess")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--solver", help="solver command (default: RAMSEY_SAT_SOLVER "
                                     "or the bundled reference solver)")

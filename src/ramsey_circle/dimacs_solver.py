@@ -8,9 +8,10 @@ lines, or "s UNSATISFIABLE"; exit codes follow the competition convention
 (10 SAT, 20 UNSAT).  The input is read by the package's one DIMACS parser,
 `satgen.dimacs_read`; a missing or malformed file prints a single "error:"
 line to stderr, no "s" line, and exits 1.  The solver has no dependency
-outside the standard library and is deterministic, so it can act as the
-default external solver subprocess on machines where no real SAT solver is
-installed; swap in kissat/cadical/minisat via RAMSEY_SAT_SOLVER for speed.
+outside the standard library and is deterministic.  `satgen.solve_external`
+runs `Solver` in-process by default; this command line serves as an external
+solver like any other, and kissat/cadical/minisat can replace it through
+`--solver` or RAMSEY_SAT_SOLVER for speed.
 
 Implements the standard loop: two-watched-literal unit propagation, first
 unique implication point conflict analysis, activity-driven branching with
@@ -29,6 +30,7 @@ activity) are indexed by v in 1..n.
 from __future__ import annotations
 
 import sys
+import time
 from typing import Optional, Sequence
 
 from .satgen import dimacs_read
@@ -211,7 +213,10 @@ class Solver:
             return None
         return best if self.phase[best] else -best
 
-    def solve(self) -> Optional[list[bool]]:
+    def solve(self, deadline: Optional[float] = None) -> Optional[list[bool]]:
+        """A model indexed by variable (slot 0 unused), or None if unsatisfiable.
+        Raises TimeoutError once `time.monotonic()` passes `deadline`, checked
+        before each search step; the check does not change the search."""
         if self.unsat:
             return None
         for lit in self.units:
@@ -223,6 +228,8 @@ class Solver:
         while True:
             conflicts = 0
             while conflicts < conflicts_budget:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise TimeoutError("solver deadline passed")
                 conflict = self._propagate()
                 if conflict is not None:
                     conflicts += 1

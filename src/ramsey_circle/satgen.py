@@ -1,4 +1,4 @@
-"""CNF generation and external SAT solving for the forcing questions.
+"""CNF generation and SAT solving for the forcing questions.
 
 `copy_formula(n, gaps)` has one boolean variable per vertex of Z_n
 (variable v+1 true means vertex v is red) and two clauses per permuted copy
@@ -7,10 +7,11 @@ all-red copies.  It is satisfiable iff some two-colouring avoids
 monochromatic copies, so UNSAT verifies unavoidability and a model is a
 counterexample; `cnf_generate(k)` is its doubling tuple on the (2^k - 1)-gon.
 
-Solving is delegated to an external solver run as a subprocess on a DIMACS
-file; any tool emitting SAT-competition output ("s SATISFIABLE" /
-"s UNSATISFIABLE" plus "v" model lines) works.  The default command is the
-bundled reference solver, overridable with RAMSEY_SAT_SOLVER.
+By default the bundled CDCL solver (`dimacs_solver.Solver`) runs
+in-process on the clauses, with no DIMACS file and no subprocess.  A solver
+command, given as an argument or in RAMSEY_SAT_SOLVER, runs instead as a
+subprocess on a DIMACS file; any tool emitting SAT-competition output
+("s SATISFIABLE" / "s UNSATISFIABLE" plus "v" model lines) works.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -35,7 +35,7 @@ GENERATOR_NAME = "ramsey-circle cnf generator"
 
 
 class SolverError(RuntimeError):
-    """Base class for failures of the external-solver pipeline."""
+    """Base class for failures of the solver pipeline."""
 
 
 class SolverNotFoundError(SolverError):
@@ -80,6 +80,11 @@ class SolverOutcome:
     status: str                    # "SAT" | "UNSAT" | "UNKNOWN"
     model: Optional[Colouring]     # present iff SAT
     solver_time: float             # seconds
+    # the solver's search counters; None when its output does not report them
+    conflicts: Optional[int] = None
+    decisions: Optional[int] = None
+    propagations: Optional[int] = None
+    restarts: Optional[int] = None
 
     def __post_init__(self):
         if (self.status == "SAT") != (self.model is not None):
@@ -183,13 +188,9 @@ def dimacs_read(text: str) -> CnfFormula:
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
-def default_solver_command() -> str:
-    import shlex   # here, not at the top: the bundled solver imports this module
-
-    env = os.environ.get("RAMSEY_SAT_SOLVER")
-    if env:
-        return env
-    return f"{shlex.quote(sys.executable)} -m ramsey_circle.dimacs_solver"
+def default_solver_command() -> Optional[str]:
+    """The RAMSEY_SAT_SOLVER command, or None for the bundled solver in-process."""
+    return os.environ.get("RAMSEY_SAT_SOLVER") or None
 
 
 def _solver_env() -> dict[str, str]:
@@ -202,12 +203,16 @@ def _solver_env() -> dict[str, str]:
 
 
 _STATUS = {"SATISFIABLE": "SAT", "UNSATISFIABLE": "UNSAT", "UNKNOWN": "UNKNOWN"}
+_COUNTERS = ("conflicts", "decisions", "propagations", "restarts")
 
 
 def _parse_solver_output(stdout: str, returncode: int, stderr: str,
-                         ) -> tuple[str, Optional[dict[int, bool]]]:
+                         ) -> tuple[str, list[int], dict[str, int]]:
+    """The status, the model literals without their closing 0, and the
+    counters among `c <counter> N` lines."""
     status = None
     model_lits: list[int] = []
+    counters: dict[str, int] = {}
     for line in stdout.splitlines():
         line = line.strip()
         if line.startswith("s "):
@@ -224,63 +229,79 @@ def _parse_solver_output(stdout: str, returncode: int, stderr: str,
                 except ValueError:
                     raise SolverOutputError(
                         f"invalid literal {tok!r} in solver model line") from None
+        elif line.startswith("c "):
+            tokens = line.split()
+            if len(tokens) == 3 and tokens[1] in _COUNTERS and tokens[2].isdigit():
+                counters[tokens[1]] = int(tokens[2])
     if status is None:
         raise SolverOutputError(
             f"no status line in solver output (exit code {returncode}); "
             f"stderr: {stderr.strip()[:200]!r}")
-    if status != "SAT":
-        return status, None
+    if model_lits and model_lits[-1] == 0:
+        model_lits.pop()
+    return status, model_lits, counters
+
+
+def _decode_model(f: CnfFormula, lits: Sequence[int]) -> Colouring:
     assignment: dict[int, bool] = {}
-    for lit in model_lits:
-        if lit == 0:
-            continue
+    for lit in lits:
         var = abs(lit)
-        value = lit > 0
-        if assignment.get(var, value) != value:
+        if not 1 <= var <= f.num_vars:
+            raise ModelValidationError(
+                f"model variable {var} is out of range for {f.num_vars} variables")
+        if assignment.setdefault(var, lit > 0) != (lit > 0):
             raise ModelValidationError(f"model assigns variable {var} both ways")
-        assignment[var] = value
-    return status, assignment
-
-
-def solve_external(f: CnfFormula, solver_command: Union[str, Sequence[str], None] = None,
-                   timeout: Optional[float] = None) -> SolverOutcome:
-    """Run the solver on f and parse the outcome; SAT models are checked
-    against every clause before being decoded into a colouring."""
-    import shlex   # here, not at the top: see default_solver_command
-    import subprocess
-    import tempfile
-
-    command = solver_command if solver_command is not None else default_solver_command()
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
-    started = time.monotonic()
-    with tempfile.TemporaryDirectory(prefix="ramsey-cnf-") as tmp:
-        path = os.path.join(tmp, "formula.cnf")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dimacs_write(f))
-        try:
-            proc = subprocess.run(argv + [path], capture_output=True, text=True,
-                                  timeout=timeout, env=_solver_env())
-        except FileNotFoundError:
-            raise SolverNotFoundError(f"solver command not found: {argv[0]!r}") from None
-        except subprocess.TimeoutExpired:
-            return SolverOutcome(status="UNKNOWN", model=None,
-                                 solver_time=time.monotonic() - started)
-    elapsed = time.monotonic() - started
-    status, assignment = _parse_solver_output(proc.stdout, proc.returncode, proc.stderr)
-    if status != "SAT":
-        return SolverOutcome(status=status, model=None, solver_time=elapsed)
     missing = [v for v in range(1, f.num_vars + 1) if v not in assignment]
     if missing:
         raise ModelValidationError(f"model leaves variables unassigned: {missing[:5]}")
     for clause in f.clauses:
         if not any(assignment[abs(lit)] == (lit > 0) for lit in clause):
             raise ModelValidationError(f"model falsifies clause {clause}")
-    red_mask = 0
-    for var, value in assignment.items():
-        if value:
-            red_mask |= 1 << (var - 1)
-    model = Colouring(n=f.num_vars, red_mask=red_mask)
-    return SolverOutcome(status="SAT", model=model, solver_time=elapsed)
+    return Colouring(n=f.num_vars,
+                     red_mask=sum(1 << (var - 1) for var, red in assignment.items() if red))
+
+
+def solve_external(f: CnfFormula, solver_command: Union[str, Sequence[str], None] = None,
+                   timeout: Optional[float] = None) -> SolverOutcome:
+    """Solve f with `solver_command`, else the RAMSEY_SAT_SOLVER command, as a
+    subprocess on a DIMACS file, or with neither by the bundled solver
+    in-process.  A timeout gives UNKNOWN.  SAT models are checked against
+    every clause before being decoded into a colouring."""
+    command = solver_command if solver_command is not None else default_solver_command()
+    started = time.monotonic()
+    if command is None:
+        from .dimacs_solver import Solver   # here: the solver module imports this one
+
+        solver = Solver(f.num_vars, f.clauses)
+        try:
+            model = solver.solve(None if timeout is None else started + timeout)
+            status = "UNSAT" if model is None else "SAT"
+        except TimeoutError:
+            model, status = None, "UNKNOWN"
+        lits = [v if model[v] else -v for v in range(1, f.num_vars + 1)] if model else []
+        counters = {name: getattr(solver, name) for name in _COUNTERS}
+    else:
+        import shlex   # here, not at the top: only a solver command needs them
+        import subprocess
+        import tempfile
+
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        with tempfile.TemporaryDirectory(prefix="ramsey-cnf-") as tmp:
+            path = os.path.join(tmp, "formula.cnf")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(dimacs_write(f))
+            try:
+                proc = subprocess.run(argv + [path], capture_output=True, text=True,
+                                      timeout=timeout, env=_solver_env())
+            except FileNotFoundError:
+                raise SolverNotFoundError(f"solver command not found: {argv[0]!r}") from None
+            except subprocess.TimeoutExpired:
+                return SolverOutcome(status="UNKNOWN", model=None,
+                                     solver_time=time.monotonic() - started)
+        status, lits, counters = _parse_solver_output(proc.stdout, proc.returncode, proc.stderr)
+    elapsed = time.monotonic() - started
+    model = _decode_model(f, lits) if status == "SAT" else None
+    return SolverOutcome(status=status, model=model, solver_time=elapsed, **counters)
 
 
 def verify_unavoidable(k: int, solver_command: Union[str, Sequence[str], None] = None,

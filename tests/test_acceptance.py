@@ -45,7 +45,7 @@ def test_criterion_01_sat_verification():
     if os.environ.get("RAMSEY_ACCEPT_K6_SAT") == "1":
         outcome = verify_unavoidable(6, timeout=3600)
         assert outcome.status == "UNSAT"
-    report(1, f"external solver: UNSAT for k=3,4,5 in {elapsed:.1f}s")
+    report(1, f"bundled solver: UNSAT for k=3,4,5 in {elapsed:.1f}s")
 
 
 def test_criterion_02_oracle_equivalence():

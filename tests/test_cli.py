@@ -537,6 +537,13 @@ def test_solve_timeout_is_unknown_exit(tmp_path, capsys):
     assert body["status"] == "UNKNOWN"
 
 
+def test_solve_in_process_timeout_is_unknown_exit(capsys, monkeypatch):
+    monkeypatch.delenv("RAMSEY_SAT_SOLVER", raising=False)
+    code, body = run_json(capsys, ["solve", "--k", "6", "--timeout", "0.3"])
+    assert code == 4
+    assert body["status"] == "UNKNOWN" and body["model"] is None
+
+
 def test_check_human_mode_prints_witness_as_json(capsys, split7):
     code = dispatch(["check", "--input", split7, "--gaps", "4,2,1"])
     out = capsys.readouterr().out.strip()

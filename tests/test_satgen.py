@@ -1,4 +1,4 @@
-"""CNF generation, DIMACS round-trips, and the external-solver pipeline."""
+"""CNF generation, DIMACS round-trips, and the solver pipeline."""
 
 import itertools
 import os
@@ -6,11 +6,13 @@ import random
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ramsey_circle
+from ramsey_circle import satgen
 from ramsey_circle.cli import EXIT_ERROR, dispatch
 from ramsey_circle.core import Colouring, ParseError, discretize, power_tuple
 from ramsey_circle.detector import detect_bruteforce
@@ -146,15 +148,16 @@ def test_bundled_solver_rejects_literals_out_of_range(clause):
         Solver(2, [[1, 2], clause])
 
 
-def test_bundled_solver_fuzz_against_enumeration():
-    def brute_sat(nv, clauses):
-        # a clause as (positive mask, negative mask): bits satisfies it when
-        # some positive variable is set or some negative one is clear
-        masks = [(sum(1 << (l - 1) for l in c if l > 0),
-                  sum(1 << (-l - 1) for l in c if l < 0)) for c in clauses]
-        return any(all(bits & pos or ~bits & neg for pos, neg in masks)
-                   for bits in range(1 << nv))
+def brute_sat(nv, clauses):
+    # a clause as (positive mask, negative mask): bits satisfies it when
+    # some positive variable is set or some negative one is clear
+    masks = [(sum(1 << (l - 1) for l in c if l > 0),
+              sum(1 << (-l - 1) for l in c if l < 0)) for c in clauses]
+    return any(all(bits & pos or ~bits & neg for pos, neg in masks)
+               for bits in range(1 << nv))
 
+
+def test_bundled_solver_fuzz_against_enumeration():
     rng = random.Random(77)
     outcomes = {True: 0, False: 0}
     wide = 0   # formulas whose clauses may have 4 or 5 literals
@@ -278,6 +281,55 @@ def test_bundled_solver_counters_on_k4(tmp_path):
         "s UNSATISFIABLE"]
 
 
+def counters(out):
+    return out.conflicts, out.decisions, out.propagations, out.restarts
+
+
+def test_both_solver_routes_report_the_k4_counters(monkeypatch):
+    monkeypatch.delenv("RAMSEY_SAT_SOLVER", raising=False)
+    f = cnf_generate(4)
+    for command in (None, BUNDLED_COMMAND):
+        out = solve_external(f, solver_command=command)
+        assert out.status == "UNSAT"
+        assert counters(out) == (56, 57, 284, 0)
+
+
+def test_default_route_writes_no_dimacs_and_starts_no_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default route must stay in-process")
+
+    monkeypatch.delenv("RAMSEY_SAT_SOLVER", raising=False)
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(satgen, "dimacs_write", refuse)
+    assert verify_unavoidable(3).status == "UNSAT"
+
+
+def test_in_process_and_subprocess_routes_agree_with_enumeration(monkeypatch):
+    # every fast path keeps an oracle: the in-process solve, the same solver
+    # as a subprocess on a DIMACS file, and all 2^n assignments
+    monkeypatch.delenv("RAMSEY_SAT_SOLVER", raising=False)
+    rng = random.Random(1515)
+    outcomes = {"SAT": 0, "UNSAT": 0}
+    for i in range(200):
+        nv = rng.randint(1, 10)
+        f = CnfFormula(num_vars=nv, clauses=tuple(
+            tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, nv + 1), rng.randint(1, min(4, nv))))
+            for _ in range(rng.randint(1, min(40, 4 * nv)))))
+        routes = [solve_external(f)]
+        if i % 10 == 0:   # 20 subprocess starts in all
+            routes.append(solve_external(f, solver_command=BUNDLED_COMMAND))
+        expected = "SAT" if brute_sat(nv, f.clauses) else "UNSAT"
+        for out in routes:
+            assert out.status == expected
+            assert counters(out) == counters(routes[0])
+            if out.model is not None:
+                red = {v + 1 for v in range(nv) if out.model.is_red(v)}
+                assert all(any((abs(l) in red) == (l > 0) for l in c) for c in f.clauses)
+        outcomes[expected] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_solver_output_format():
     f = cnf_generate(3)
     half = CnfFormula(num_vars=7, clauses=tuple(c for c in f.clauses if c[0] > 0))
@@ -368,6 +420,17 @@ def test_partial_model_is_rejected(tmp_path):
         solve_external(cnf_generate(3), solver_command=cmd)
 
 
+@pytest.mark.parametrize("model", ["1 2 3 4 5 6 7 99 0", "1 2 3 -8 4 5 6 7 0",
+                                   "1 2 3 0 4 5 6 7 0"], ids=["99", "-8", "zero"])
+def test_model_variable_out_of_range_is_rejected(tmp_path, model):
+    # all red satisfies the positive half: only the stray variable is wrong
+    f = cnf_generate(3)
+    half = CnfFormula(num_vars=7, clauses=tuple(c for c in f.clauses if c[0] > 0))
+    cmd = _fake_solver(tmp_path, "stray.sh", f'echo "s SATISFIABLE"; echo "v {model}"')
+    with pytest.raises(ModelValidationError, match="out of range for 7 variables"):
+        solve_external(half, solver_command=cmd)
+
+
 def test_timeout_returns_unknown(tmp_path):
     cmd = _fake_solver(tmp_path, "sleepy.sh", "sleep 30")
     out = solve_external(cnf_generate(3), solver_command=cmd, timeout=0.2)
@@ -375,15 +438,28 @@ def test_timeout_returns_unknown(tmp_path):
     assert out.model is None
 
 
+def test_in_process_timeout_returns_unknown(monkeypatch):
+    # k = 6 takes the bundled solver about 15 minutes
+    monkeypatch.delenv("RAMSEY_SAT_SOLVER", raising=False)
+    started = time.monotonic()
+    out = verify_unavoidable(6, timeout=0.3)
+    assert out.status == "UNKNOWN"
+    assert out.model is None
+    assert time.monotonic() - started < 5
+
+
 def test_default_solver_env_override(monkeypatch):
     monkeypatch.setenv("RAMSEY_SAT_SOLVER", "my-solver --flag")
     assert default_solver_command() == "my-solver --flag"
     monkeypatch.delenv("RAMSEY_SAT_SOLVER")
-    assert "dimacs_solver" in default_solver_command()
+    assert default_solver_command() is None
+
+
+BUNDLED_COMMAND = [sys.executable, "-m", "ramsey_circle.dimacs_solver"]
 
 
 def run_bundled_solver(path):
-    return subprocess.run([sys.executable, "-m", "ramsey_circle.dimacs_solver", str(path)],
+    return subprocess.run([*BUNDLED_COMMAND, str(path)],
                           capture_output=True, text=True, timeout=120)
 
 
@@ -427,13 +503,13 @@ def test_reference_solver_cli_bad_input_is_one_error_line(tmp_path, text):
 
 def test_bundled_solver_starts_without_package_on_pythonpath(tmp_path):
     # the package reaches the caller only through sys.path, never PYTHONPATH:
-    # the solver child must still find it
+    # the bundled solver run as a command must still find it
     src = str(Path(ramsey_circle.__file__).resolve().parent.parent)
     env = {key: value for key, value in os.environ.items()
            if key not in ("PYTHONPATH", "RAMSEY_SAT_SOLVER")}
     script = (f"import sys; sys.path.insert(0, {src!r})\n"
               "from ramsey_circle.satgen import verify_unavoidable\n"
-              "print(verify_unavoidable(3).status)\n")
+              f"print(verify_unavoidable(3, solver_command={BUNDLED_COMMAND!r}).status)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
