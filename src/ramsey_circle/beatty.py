@@ -75,17 +75,6 @@ def power_pair(k: int) -> BeattyPair:
     return BeattyPair.half_shift(tuple(Fraction(denom, 2**(k - i)) for i in range(1, k + 1)))
 
 
-def beatty_term(alpha: Fraction, beta: Fraction, n: int) -> int:
-    """floor(alpha * n + beta), computed in integer arithmetic."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    num = alpha.numerator * beta.denominator * n + beta.numerator * alpha.denominator
-    den = alpha.denominator * beta.denominator
-    return num // den
-
-
 @dataclass(frozen=True)
 class PartitionVerdict:
     """Outcome of a bounded partition check.

@@ -12,9 +12,11 @@ Exit codes are part of the interface and shared by all subcommands:
 ``--json`` switches to a stable machine-readable output (schema version 1,
 sorted keys, no timestamps); the human format is never parsed by tests.
 
-``batch`` runs each sweep item in-process through ``dispatch``, with its
-output discarded, in up to ``--parallel`` worker processes (capped at the
-item count and the CPU count); the report keeps spec order.
+``batch`` runs each sweep item through ``dispatch``, its output discarded,
+and reports in spec order.  One worker runs the items in this process; a
+``--parallel`` pool (capped at the item count and the CPU count) pays only
+when the items cost more than starting it.  The parser is built once per
+process, at the first ``dispatch``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -386,9 +389,11 @@ def _cmd_batch(args) -> int:
     # Worker processes, not threads: stdout redirection is process-global.
     # A fork pool starts all its workers up front, hence the caps.
     workers = max(1, min(args.parallel, len(items), os.cpu_count() or 1))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_run_sweep_item, [argv for _, argv in items],
-                                itertools.repeat(spec_dir)))
+    with contextlib.ExitStack() as stack:
+        mapper = map if workers == 1 else stack.enter_context(
+            concurrent.futures.ProcessPoolExecutor(max_workers=workers)).map
+        results = list(mapper(_run_sweep_item, [argv for _, argv in items],
+                              itertools.repeat(spec_dir)))
     report_items = []
     passed = 0
     saw_error = False
@@ -427,7 +432,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:   # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    return value
+
+
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once, at the first `dispatch`; no action holds a mutable default."""
     parser = argparse.ArgumentParser(
         prog="ramsey-circle",
         description="Exact verification toolkit for Ramsey distance tuples "
@@ -496,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--solver", help="solver command (default: RAMSEY_SAT_SOLVER "
                                     "or the bundled reference solver)")
-    p.add_argument("--timeout", type=float, help="seconds before giving up")
+    p.add_argument("--timeout", type=_positive_seconds, help="seconds before giving up")
 
     p = sub.add_parser("batch", help="run a sweep spec and report pass/fail")
     p.add_argument("spec", help="line-oriented file: <expected-exit> <args...>")

@@ -243,9 +243,6 @@ class Colouring:
     def is_red(self, v: int) -> bool:
         return bool(self.red_mask >> v & 1)
 
-    def colour_char(self, v: int) -> str:
-        return "R" if self.is_red(v) else "B"
-
     def to_string(self) -> str:
         # one binary formatting of the mask, vertex 0 first: linear in n
         return format(self.red_mask, f"0{self.n}b")[::-1].translate(_BITS_TO_COLOURS)
@@ -264,9 +261,6 @@ class Colouring:
         if self.black is not None:
             base |= 1 << self.black
         return base
-
-    def count_red(self) -> int:
-        return self.red_mask.bit_count()
 
     def rotated(self, r: int) -> "Colouring":
         """Rotate counterclockwise: new vertex v has the colour of v - r."""

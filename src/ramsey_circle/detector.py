@@ -30,6 +30,11 @@ from .core import Colouring, DiscreteInstance, rotate_mask
 # detection streams instead; verdicts and witnesses are identical.
 _CACHE_WALK_LIMIT = 400_000
 
+#: Bits one kernel pass may hold, refused above before any table is built:
+#: per sub-multiset state an n-bit reach mask plus about 512 bits per gap of
+#: plan.  k = 13 on the eps = 1/100 majority grid needs 2.7e10, k = 14 1.1e11.
+STATE_BIT_LIMIT = 2**35
+
 
 @dataclass(frozen=True)
 class CopyWitness:
@@ -180,6 +185,13 @@ def _least_copy(class_mask: int, n: int, gaps: tuple[int, ...],
     forward takes the smallest g whose landing vertex still reaches the
     start with the remaining gaps, which gives the least gap order.
     """
+    bits = n + 512 * len(gaps)
+    # 2^k bounds the state count, so only a tuple near the budget counts them
+    if bits << len(gaps) > STATE_BIT_LIMIT:
+        states = math.prod(len(list(run)) + 1 for _, run in itertools.groupby(gaps))
+        if states * bits > STATE_BIT_LIMIT:
+            raise ValueError(f"{states} sub-multiset states of {bits} bits are "
+                             f"above the detector budget of {STATE_BIT_LIMIT} bits")
     sums, preds = _plan(gaps)
     reach = [class_mask]
     for total, ps in zip(sums[1:], preds[1:]):

@@ -39,9 +39,11 @@ from .satgen import dimacs_read
 class Solver:
     """CDCL search over `clauses`.  After `solve()`, `conflicts`,
     `decisions`, `propagations` (trail literals propagated) and `restarts`
-    count the work it did."""
+    count the work it did.  Building it raises TimeoutError once
+    `time.monotonic()` passes `deadline`, checked every 1024 clauses."""
 
-    def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]]):
+    def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]],
+                 deadline: Optional[float] = None):
         self.nv = num_vars
         self.val = [0] * (2 * num_vars + 1)
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
@@ -56,7 +58,9 @@ class Solver:
         self.unsat = False
         self.units: list[int] = []
         self.conflicts = self.decisions = self.propagations = self.restarts = 0
-        for clause in clauses:
+        for i, clause in enumerate(clauses):
+            if deadline is not None and not i % 1024 and time.monotonic() > deadline:
+                raise TimeoutError("solver deadline passed while adding clauses")
             self._add_clause(clause)
 
     def _add_clause(self, lits: Sequence[int]) -> None:

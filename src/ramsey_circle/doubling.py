@@ -34,10 +34,6 @@ def _double(num: int, denom: int) -> int:
     return y
 
 
-def doubling_step(x: Fraction) -> Fraction:
-    return Fraction(_double(x.numerator, x.denominator), x.denominator)
-
-
 @dataclass(frozen=True)
 class DoublingOrbit:
     """Reals nums[i] / denom in (-1, 1), cyclically closed under the map."""
@@ -65,21 +61,6 @@ class DoublingOrbit:
     def xs(self) -> tuple[Fraction, ...]:
         """The orbit values as reduced fractions."""
         return tuple(Fraction(v, self.denom) for v in self.nums)
-
-
-def orbit_from_seed(x1: Fraction, k: int) -> Optional[DoublingOrbit]:
-    """Iterate the map k times from x1; the orbit if it closes, else None."""
-    x1 = Fraction(x1)
-    if not -1 < x1 < 1:
-        raise ValueError(f"seed {x1} must lie in (-1, 1)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    nums = [x1.numerator]
-    for _ in range(k):
-        nums.append(_double(nums[-1], x1.denominator))
-    if nums[k] != nums[0]:
-        return None
-    return DoublingOrbit(tuple(nums[:k]), x1.denominator)
 
 
 def orbit_from_uniform(k: int, t: int) -> DoublingOrbit:

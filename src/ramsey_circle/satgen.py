@@ -265,19 +265,22 @@ def solve_external(f: CnfFormula, solver_command: Union[str, Sequence[str], None
                    timeout: Optional[float] = None) -> SolverOutcome:
     """Solve f with `solver_command`, else the RAMSEY_SAT_SOLVER command, as a
     subprocess on a DIMACS file, or with neither by the bundled solver
-    in-process.  A timeout gives UNKNOWN.  SAT models are checked against
+    in-process.  A timeout, which bounds building the solver as well as the
+    search, gives UNKNOWN with no counters.  SAT models are checked against
     every clause before being decoded into a colouring."""
     command = solver_command if solver_command is not None else default_solver_command()
     started = time.monotonic()
     if command is None:
         from .dimacs_solver import Solver   # here: the solver module imports this one
 
-        solver = Solver(f.num_vars, f.clauses)
+        deadline = None if timeout is None else started + timeout
         try:
-            model = solver.solve(None if timeout is None else started + timeout)
-            status = "UNSAT" if model is None else "SAT"
+            solver = Solver(f.num_vars, f.clauses, deadline)
+            model = solver.solve(deadline)
         except TimeoutError:
-            model, status = None, "UNKNOWN"
+            return SolverOutcome(status="UNKNOWN", model=None,
+                                 solver_time=time.monotonic() - started)
+        status = "UNSAT" if model is None else "SAT"
         lits = [v if model[v] else -v for v in range(1, f.num_vars + 1)] if model else []
         counters = {name: getattr(solver, name) for name in _COUNTERS}
     else:
@@ -314,7 +317,11 @@ def verify_unavoidable(k: int, solver_command: Union[str, Sequence[str], None] =
     a model that still contains a monochromatic copy means the pipeline
     (not the mathematics) is broken.
     """
-    outcome = solve_external(cnf_generate(k), solver_command, timeout)
+    started = time.monotonic()
+    f = cnf_generate(k)
+    if timeout is not None:   # generating the formula counts against it
+        timeout -= time.monotonic() - started
+    outcome = solve_external(f, solver_command, timeout)
     if outcome.status == "SAT":
         witness = detect_bruteforce(outcome.model, discretize(power_tuple(k)))
         if witness is not None:

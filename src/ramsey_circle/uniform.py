@@ -155,11 +155,6 @@ def suitability(d: DistanceTuple, t: int) -> tuple[bool, bool]:
     return free, free
 
 
-def uniform_contains_mono_copy(d: DistanceTuple, t: int) -> bool:
-    """Whether c_t contains a monochromatic copy of d, decided without a grid."""
-    return not suitability(d, t)[0]
-
-
 def suitable_ts(d: DistanceTuple, max_t: int, strong: bool = False) -> Iterator[int]:
     """The suitable t <= max_t for d in increasing order, or with strong the
     strongly suitable t in T = {t : no denominator q_i of d divides 2t}.

@@ -16,6 +16,7 @@ from ramsey_circle.beatty import (BalanceVerdict, BeattyPair, FraenkelReport,
 from ramsey_circle.core import (Colouring, DiscreteInstance, DistanceTuple,
                                 power_tuple)
 from ramsey_circle.detector import find_copy_in_class
+from ramsey_circle.doubling import DoublingBoundaryError, DoublingOrbit
 from ramsey_circle.robust import FiniteCheckResult
 
 
@@ -294,3 +295,28 @@ def window_balance(period: Sequence[int]) -> BalanceVerdict:
                 return BalanceVerdict(balanced=False, letter=a, window_length=length,
                                       positions=(counts.index(hi), counts.index(lo)))
     return BalanceVerdict(balanced=True)
+
+
+def doubling_step(x: Fraction) -> Fraction:
+    """2x pulled back into (-1, 1), in Fractions; 2x = +-1 is the boundary."""
+    y = 2 * x
+    if abs(y) == 1:
+        raise DoublingBoundaryError(f"2 * {x} = {y} is on the boundary")
+    return y - 2 if y > 1 else y + 2 if y < -1 else y
+
+
+def orbit_from_seed(x1: Fraction, k: int) -> Optional[DoublingOrbit]:
+    """Iterate the map k times from x1; the orbit if it closes, else None."""
+    xs = [Fraction(x1)]
+    for _ in range(k):
+        xs.append(doubling_step(xs[-1]))
+    if xs[k] != xs[0]:
+        return None
+    denom = xs[0].denominator
+    return DoublingOrbit(tuple(int(x * denom) for x in xs[:k]), denom)
+
+
+def beatty_term(alpha: Fraction, beta: Fraction, n: int) -> int:
+    """floor(alpha * n + beta), computed in integer arithmetic."""
+    num = alpha.numerator * beta.denominator * n + beta.numerator * alpha.denominator
+    return num // (alpha.denominator * beta.denominator)

@@ -5,10 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from _reference import (fraenkel_report, owner_word, partition_verdict,
-                        window_balance)
+from _reference import (beatty_term, fraenkel_report, owner_word,
+                        partition_verdict, window_balance)
 from ramsey_circle.beatty import (BalancedWord, BeattyPair, PartitionError,
-                                  PartitionVerdict, balanced_check, beatty_term,
+                                  PartitionVerdict, balanced_check,
                                   densities, fraenkel_diagnostics,
                                   partition_check, power_pair, word_from_pair)
 from ramsey_circle.core import power_tuple

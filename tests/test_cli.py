@@ -1,9 +1,12 @@
 """CLI dispatch, exit codes, JSON stability, and the batch runner."""
 
+import argparse
 import concurrent.futures
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from _reference import prefix_order, run_sweep_item_in_subprocess, uniform_grid_copy
+from ramsey_circle import cli
 from ramsey_circle.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK,
                                EXIT_REFUTATION, MAX_T, dispatch)
 from ramsey_circle.core import DistanceTuple, power_tuple
@@ -544,6 +548,19 @@ def test_solve_in_process_timeout_is_unknown_exit(capsys, monkeypatch):
     assert body["status"] == "UNKNOWN" and body["model"] is None
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "-inf", "soon"])
+def test_solve_timeout_must_be_above_zero(capsys, value):
+    # refused at parse time, before any formula is built
+    assert dispatch(["solve", "--k", "3", "--timeout", value]) == EXIT_ERROR
+    assert "argument --timeout" in capsys.readouterr().err
+
+
+def test_solve_timeout_inf_means_no_limit(capsys, monkeypatch):
+    monkeypatch.delenv("RAMSEY_SAT_SOLVER", raising=False)
+    code, body = run_json(capsys, ["solve", "--k", "3", "--timeout", "inf"])
+    assert code == EXIT_OK and body["status"] == "UNSAT"
+
+
 def test_check_human_mode_prints_witness_as_json(capsys, split7):
     code = dispatch(["check", "--input", split7, "--gaps", "4,2,1"])
     out = capsys.readouterr().out.strip()
@@ -657,7 +674,8 @@ def test_batch_pool_capped_at_items_and_cpus(tmp_path, pool_sizes, monkeypatch):
     assert dispatch(argv) == EXIT_OK
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert dispatch(argv) == EXIT_OK
-    assert pool_sizes == [min(2, cpus), 1]
+    # a pool only for two or more workers; one worker runs in this process
+    assert pool_sizes == ([min(2, cpus)] if cpus > 1 else [])
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "many"])
@@ -679,6 +697,83 @@ def test_batch_verdicts_match_one_interpreter_per_item(tmp_path):
     assert len(items) == len(reference) >= 20
     for item, code in zip(items, reference):
         assert item["actual"] == code, item["argv"]
+
+
+def test_batch_parse_errors_before_valid_items_match_one_interpreter_per_item(
+        tmp_path, capsys, pool_sizes):
+    # items that fail to parse come first, so a parser reused across items
+    # would carry any state they leave into the valid ones
+    fixture = tmp_path / "c.txt"
+    fixture.write_text("7\nRRRRBBB\n", encoding="utf-8")
+    spec = write_spec(tmp_path, [
+        "2 --json check --no-such-flag",
+        "2 --json solve --k 3 --timeout nan",
+        "2 --json uniform-check --k 3 --max-t 0",
+        "0 --json check --input @/c.txt --gaps 4,2,1",
+        "0 --json balanced-check --period a,b,a,c,a,b,a",
+        "1 --json balanced-check --period a,a,b,b",
+        "0 --json uniform-check --k 3 --max-t 14",
+    ])
+    code, body = run_json(capsys, ["batch", str(spec)])
+    assert code == EXIT_OK and pool_sizes == []
+    actual = [item["actual"] for item in body["items"]]
+    reference = [run_sweep_item_in_subprocess(item["argv"], tmp_path) for item in body["items"]]
+    assert actual == reference == [2, 2, 2, 0, 0, 1, 0]
+
+
+def test_many_dispatches_build_the_parser_once(tmp_path, capsys, pool_sizes):
+    spec = write_spec(tmp_path, ["0 --json balanced-check --period a,b,a,c,a,b,a",
+                                 "2 --json balanced-check",
+                                 "1 --json balanced-check --period a,a,b,b"])
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert dispatch(["--json", "doubling", "--k", "3", "--t", "1"]) == EXIT_OK
+        assert dispatch(["--json", "batch", str(spec)]) == EXIT_OK
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3 * 5 - 1)
+
+
+def parser_actions(parser):
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from parser_actions(sub)
+
+
+def test_no_parser_action_has_a_mutable_default():
+    # the parser is shared by every dispatch in a process, so a mutable
+    # default (a list that append fills, say) would carry one item into the next
+    parser = cli.build_parser()
+    actions = list(parser_actions(parser))
+    assert len(actions) > 40
+    for action in actions:
+        assert isinstance(action.default, (type(None), bool, int, float, str)), action.dest
+        assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction,
+                                       argparse._ExtendAction)), action.dest
+
+
+def test_cli_import_builds_no_parser_and_one_worker_starts_no_pool(tmp_path):
+    # a fresh interpreter, since this one has built the parser and may have
+    # imported the pool machinery already
+    spec = write_spec(tmp_path, ["0 --json balanced-check --period a,b,a,c,a,b,a",
+                                 "1 --json balanced-check --period a,a,b,b"])
+    script = "\n".join([
+        "import sys",
+        "from ramsey_circle import cli",
+        "assert cli.build_parser.cache_info().currsize == 0, 'parser built at import'",
+        f"code = cli.dispatch(['--parallel', '1', 'batch', {str(spec)!r}, "
+        f"'--report', {str(tmp_path / 'report.json')!r}])",
+        "assert 'multiprocessing' not in sys.modules, 'a pool was started'",
+        "assert cli.build_parser.cache_info().misses == 1",
+        "sys.exit(code)",
+    ])
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
 
 
 def test_frozen_benchmark_sweep_passes(tmp_path, pool_sizes):

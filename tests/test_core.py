@@ -126,7 +126,7 @@ def test_to_string_matches_the_per_vertex_colours():
         n = rng.randint(1, 300)
         cases.append(Colouring(n=n, red_mask=rng.getrandbits(n) >> rng.randint(0, n)))
     for c in cases:
-        assert c.to_string() == "".join(c.colour_char(v) for v in range(c.n)), c
+        assert c.to_string() == "".join("RB"[not c.is_red(v)] for v in range(c.n)), c
 
 
 @pytest.mark.parametrize("k", range(3, 11))
@@ -176,7 +176,7 @@ def test_parse_fraction_rejects_inexact(bad):
 def test_parse_colouring_basic():
     c = parse_colouring("7\nRRRRBBB\n")
     assert c.n == 7
-    assert [c.colour_char(v) for v in range(7)] == list("RRRRBBB")
+    assert [c.is_red(v) for v in range(7)] == [True] * 4 + [False] * 3
     assert c.black is None
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from _reference import dfs_copy_in_class
+from ramsey_circle import detector
 from ramsey_circle.core import Colouring, DiscreteInstance, discretize, power_tuple
 from ramsey_circle.detector import (CopyWitness, count_copies, cyclic_canonical,
                                     detect_bruteforce, detect_dp,
@@ -312,3 +313,20 @@ def test_dimension_mismatch_rejected():
         detect_bruteforce(Colouring.from_string("RRRB"), P3)
     with pytest.raises(ValueError):
         detect_dp(Colouring.from_string("RRRB"), P3)
+
+
+def test_many_distinct_gaps_are_refused_before_the_plan(monkeypatch):
+    # 27 distinct gaps: 2^27 sub-multiset states, each with a plan entry
+    monkeypatch.setattr(detector, "_plan", lambda gaps: pytest.fail("plan built"))
+    gaps = tuple(range(1, 28))
+    n = sum(gaps)
+    with pytest.raises(ValueError, match="above the detector budget"):
+        find_copy_in_class((1 << n) - 1, n, gaps)
+    with pytest.raises(ValueError, match="above the detector budget"):
+        detect_dp(Colouring(n=n, red_mask=(1 << n) - 1), DiscreteInstance(n, gaps))
+
+
+def test_repeated_gaps_are_budgeted_by_their_sub_multisets():
+    # forty equal gaps have 41 sub-multisets, far below the 2^40 bound
+    n = 40
+    assert find_copy_in_class((1 << n) - 1, n, (1,) * n) == (tuple(range(n)), (1,) * n)

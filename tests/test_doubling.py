@@ -7,9 +7,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from _reference import prefix_order
+from _reference import doubling_step, orbit_from_seed, prefix_order
 from ramsey_circle.doubling import (DoublingBoundaryError, DoublingOrbit,
-                                    doubling_step, orbit_from_seed,
                                     orbit_from_uniform, prefix_permutation)
 from ramsey_circle.uniform import residue_check
 

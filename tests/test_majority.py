@@ -3,10 +3,13 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from ramsey_circle import detector
+from ramsey_circle.cli import EXIT_ERROR, dispatch
 from ramsey_circle.core import DiscreteInstance
 from ramsey_circle.detector import count_copies
 from ramsey_circle.majority import (MajorityParams, interval_lengths,
@@ -43,7 +46,7 @@ def test_density_gap_exact():
     params = MajorityParams(6, F(1, 100))
     assert params.density_gap == F(1, 40)
     c = majority_colouring(params, 400)
-    red = c.count_red()
+    red = c.red_mask.bit_count()
     blue = 400 - red
     assert red - blue == 400 * F(1, 40)
 
@@ -53,7 +56,7 @@ def test_density_identity_across_grids():
                          (7, F(1, 96), 2016), (8, F(1, 100), 25200)]:
         params = MajorityParams(k, eps)
         c = majority_colouring(params, grid)
-        assert c.count_red() - (grid - c.count_red()) == grid * params.density_gap
+        assert c.red_mask.bit_count() - (grid - c.red_mask.bit_count()) == grid * params.density_gap
 
 
 def test_colouring_starts_red_and_alternates():
@@ -120,3 +123,27 @@ def test_red_class_alone_would_contain_copies_without_blue_gaps():
     from ramsey_circle.detector import find_copy_in_class
     found = find_copy_in_class((1 << 63) - 1, 63, tuple(2**(5 - i) for i in range(6)))
     assert found is not None
+
+
+def test_k14_at_eps_one_hundredth_is_refused_before_the_kernel_allocates(capsys):
+    # 2^14 reach masks of 6553200 bits would need about 13 GB
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="above the detector budget"):
+        majority_verify(MajorityParams(14, F(1, 100)))
+    assert dispatch(["--json", "majority", "--k", "14", "--eps", "1/100"]) == EXIT_ERROR
+    assert "detector budget" in capsys.readouterr().err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_k13_at_eps_one_hundredth_is_within_the_budget(monkeypatch):
+    # reaching the plan means the budget let the pass through; the pass
+    # itself (2.7e10 bits, several seconds) is not run here
+    class Admitted(Exception):
+        pass
+
+    def plan(gaps):
+        raise Admitted
+
+    monkeypatch.setattr(detector, "_plan", plan)
+    with pytest.raises(Admitted):
+        majority_verify(MajorityParams(13, F(1, 100)))

@@ -448,6 +448,65 @@ def test_in_process_timeout_returns_unknown(monkeypatch):
     assert time.monotonic() - started < 5
 
 
+class FakeClock:
+    """Stands in for `time` in the solver modules: the clock moves only
+    when a test moves it, so a deadline test has no wall-clock race."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    from ramsey_circle import dimacs_solver
+    fake = FakeClock()
+    monkeypatch.setattr(satgen, "time", fake)
+    monkeypatch.setattr(dimacs_solver, "time", fake)
+    monkeypatch.delenv("RAMSEY_SAT_SOLVER", raising=False)
+    return fake
+
+
+def test_timeout_bounds_building_the_solver(clock, monkeypatch):
+    # every clause added takes 1 ms on the fake clock; the deadline at 0.3 s
+    # is seen at the next check, after 1024 clauses, and no search starts
+    added = []
+    real_add = Solver._add_clause
+
+    def add(self, clause):
+        added.append(clause)
+        clock.now += 0.001
+        real_add(self, clause)
+
+    monkeypatch.setattr(Solver, "_add_clause", add)
+    monkeypatch.setattr(Solver, "solve", lambda self, deadline=None: pytest.fail("search ran"))
+    f = cnf_generate(5)
+    out = solve_external(f, timeout=0.3)
+    assert out.status == "UNKNOWN" and out.model is None
+    assert len(added) == 1024 < f.num_clauses
+
+
+def test_timeout_counts_generating_the_formula(clock, monkeypatch):
+    real_generate = satgen.cnf_generate
+
+    def slow_generate(k):
+        clock.now += 10.0
+        return real_generate(k)
+
+    monkeypatch.setattr(satgen, "cnf_generate", slow_generate)
+    monkeypatch.setattr(Solver, "_add_clause", lambda self, clause: pytest.fail("solver built"))
+    out = verify_unavoidable(3, timeout=5.0)
+    assert out.status == "UNKNOWN" and out.model is None
+
+
+def test_a_distant_deadline_leaves_the_k4_search_unchanged(clock):
+    out = verify_unavoidable(4, timeout=1e9)
+    assert out.status == "UNSAT"
+    assert (out.conflicts, out.decisions, out.propagations, out.restarts) == (56, 57, 284, 0)
+
+
 def test_default_solver_env_override(monkeypatch):
     monkeypatch.setenv("RAMSEY_SAT_SOLVER", "my-solver --flag")
     assert default_solver_command() == "my-solver --flag"

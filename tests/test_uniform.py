@@ -16,9 +16,13 @@ from ramsey_circle.core import (DistanceTuple, RefutationError, discretize,
 from ramsey_circle.detector import detect_bruteforce, detect_dp
 from ramsey_circle.robust import strongly_suitable_search
 from ramsey_circle.uniform import (doubling_steps, nonpower_witness,
-                                   red_order, residue_check,
-                                   uniform_contains_mono_copy, uniform_steps,
-                                   window_order)
+                                   red_order, residue_check, suitability,
+                                   uniform_steps, window_order)
+
+
+def uniform_contains_mono_copy(d, t):
+    """The window search's verdict read as "c_t holds a copy of d"."""
+    return not suitability(d, t)[0]
 
 
 def test_uniform_colouring_halves():
