@@ -26,6 +26,10 @@ from typing import Optional, Sequence
 
 from .core import power_tuple
 
+#: Largest common numerator p that `fraenkel_diagnostics` accepts: it builds
+#: a word of length 2p whatever range it reports on (p = 10^6 takes ~0.3 s).
+MAX_DIAGNOSTIC_PERIOD = 10**6
+
 
 @dataclass(frozen=True)
 class BeattyPair:
@@ -293,12 +297,13 @@ def _consecutive_condition(word: Sequence[int], letter: int) -> bool:
 def fraenkel_diagnostics(pair: BeattyPair, M: int) -> FraenkelReport:
     """Verify the period structure of a half-shifted partitioning pair.
 
-    Needs beta_i = alpha_i / 2 and M >= 2p where p is the common numerator
-    of the alphas; partition failures propagate as PartitionError.  The
-    report on [0, M) is read from the prefix [0, 2p): each alpha_i is at
-    most its numerator, hence at most p, so V0 <= floor(p / 2) + 1 <= p.
-    The word is p-periodic from V0 on (see `partition_check`), so
-    s_j = s_(j mod p) for all j < M once it holds for j < V0 + p <= 2p.
+    Needs beta_i = alpha_i / 2, M >= 2p and p <= MAX_DIAGNOSTIC_PERIOD where
+    p is the common numerator of the alphas; partition failures propagate
+    as PartitionError.  The report on [0, M) is read from the prefix
+    [0, 2p): each alpha_i is at most its numerator, hence at most p, so
+    V0 <= floor(p / 2) + 1 <= p.  The word is p-periodic from V0 on (see
+    `partition_check`), so s_j = s_(j mod p) for all j < M once it holds
+    for j < V0 + p <= 2p.
     """
     if not pair.is_half_shift():
         raise ValueError("diagnostics require betas = alphas / 2")
@@ -307,6 +312,9 @@ def fraenkel_diagnostics(pair: BeattyPair, M: int) -> FraenkelReport:
     p = pair.common_numerator()
     if M < 2 * p:
         raise ValueError(f"M={M} too small: need at least 2p = {2 * p}")
+    if p > MAX_DIAGNOSTIC_PERIOD:
+        raise ValueError(f"period {p} is above the diagnostics limit "
+                         f"{MAX_DIAGNOSTIC_PERIOD}")
     word = word_from_pair(pair, 2 * p)
     period = word[:p]
     periodic = all(word[j] == word[j % p] for j in range(2 * p))

@@ -13,20 +13,20 @@ Exit codes are part of the interface and shared by all subcommands:
 sorted keys, no timestamps); the human format is never parsed by tests.
 
 ``batch`` runs each sweep item through ``dispatch``, its output discarded,
-and reports in spec order.  One worker runs the items in this process; a
-``--parallel`` pool (capped at the item count and the CPU count) pays only
-when the items cost more than starting it.  The parser is built once per
-process, at the first ``dispatch``.
+and reports in spec order.  With W workers (``--parallel``, capped at the
+item count and the CPU count, and 1 where ``os.fork`` is missing) worker w
+runs items w, w + W, ...: worker 0 is the calling process and the others
+are forked children.  Items a crashed child left without an exit code read
+2, so a crash is never a verdict.  The parser is built once per process, at
+the first ``dispatch``, and forked children inherit it.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import functools
 import io
-import itertools
 import json
 import os
 import shlex
@@ -382,18 +382,50 @@ def _run_sweep_item(argv: list[str], spec_dir: Path) -> int:
         return dispatch(resolved)
 
 
+def _fan_out(run, items: list, workers: int) -> list[int]:
+    """Exit codes of `run` over `items`, in order.  Worker w runs
+    items[w::workers]: worker 0 is this process, the others forked children
+    that write one byte per finished item to their own pipe.  An item a
+    crashed child left without a code reads EXIT_ERROR."""
+    codes = [EXIT_ERROR] * len(items)
+    # a child must not inherit, and so maybe write again, buffered output
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    for item in items[w::workers]:
+                        os.write(write_fd, bytes([run(item)]))
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        codes[::workers] = map(run, items[::workers])
+        for w, (_, pipe) in enumerate(children, start=1):
+            done = pipe.read()
+            codes[w:w + workers * len(done):workers] = done
+    finally:
+        for pid, pipe in children:
+            pipe.close()   # a child still writing gets EPIPE and leaves
+            os.waitpid(pid, 0)
+    return codes
+
+
 def _cmd_batch(args) -> int:
     spec_path = Path(args.spec)
     items = _parse_sweep(spec_path)
     spec_dir = spec_path.resolve().parent
     # Worker processes, not threads: stdout redirection is process-global.
-    # A fork pool starts all its workers up front, hence the caps.
     workers = max(1, min(args.parallel, len(items), os.cpu_count() or 1))
-    with contextlib.ExitStack() as stack:
-        mapper = map if workers == 1 else stack.enter_context(
-            concurrent.futures.ProcessPoolExecutor(max_workers=workers)).map
-        results = list(mapper(_run_sweep_item, [argv for _, argv in items],
-                              itertools.repeat(spec_dir)))
+    if not hasattr(os, "fork"):
+        workers = 1
+    results = _fan_out(lambda argv: _run_sweep_item(argv, spec_dir),
+                       [argv for _, argv in items], workers)
     report_items = []
     passed = 0
     saw_error = False
@@ -451,8 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "on the unit circle.")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--parallel", type=_positive_int, default=1,
-                        help="batch worker processes (at least 1; capped at the "
-                             "item count and the CPU count)")
+                        help="batch workers: this process and forked children "
+                             "(at least 1; capped at the item count and the CPU "
+                             "count)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="search a colouring for a monochromatic copy")

@@ -5,17 +5,21 @@ import concurrent.futures
 import io
 import json
 import os
+import shlex
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from _reference import prefix_order, run_sweep_item_in_subprocess, uniform_grid_copy
-from ramsey_circle import cli
+from ramsey_circle import beatty, cli
 from ramsey_circle.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK,
                                EXIT_REFUTATION, MAX_T, dispatch)
 from ramsey_circle.core import DistanceTuple, power_tuple
@@ -226,6 +230,28 @@ def test_beatty_check_failure_past_the_limit_keeps_the_verdict(capsys):
         "partition of [0, 1): ok",
         "no diagnostics: beyond [0, 1), value 1 is hit by no sequence"]
     assert captured.err == ""
+
+
+def test_beatty_diagnostics_above_the_period_limit_are_refused(capsys):
+    # [0, 10) is partitioned, but the diagnostics would build a word of
+    # 2p = 40000006 owners
+    argv = ["--json", "beatty-check", "--alphas", "20000003/20000002", "--half",
+            "--limit", "10"]
+    started = time.perf_counter()
+    assert dispatch(argv) == EXIT_ERROR
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above the diagnostics limit 1000000" in captured.err
+
+
+def test_beatty_diagnostics_period_limit_is_inclusive(capsys, monkeypatch):
+    argv = ["beatty-check", "--alphas", "7/4,7/2,7", "--half", "--limit", "1000"]
+    monkeypatch.setattr(beatty, "MAX_DIAGNOSTIC_PERIOD", 7)
+    code, body = run_json(capsys, argv)
+    assert code == EXIT_OK and body["diagnostics"]["period_length"] == 7
+    monkeypatch.setattr(beatty, "MAX_DIAGNOSTIC_PERIOD", 6)
+    assert dispatch(argv) == EXIT_ERROR
 
 
 def test_balanced_check(capsys):
@@ -640,49 +666,121 @@ def test_batch_report_identical_across_worker_counts(tmp_path):
     assert actual == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_NEGATIVE, EXIT_ERROR, EXIT_OK]
 
 
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: records the requested worker count
-    and runs the items in this process, so no real pool is started."""
+# cheap sweep items and their exit codes: verdicts, refusals, parse errors
+BATCH_POOL = [
+    ("--json balanced-check --period a,b,a,c,a,b,a", EXIT_OK),
+    ("--json balanced-check --period a,a,b,b", EXIT_NEGATIVE),
+    ("--json doubling --k 3 --t 1", EXIT_OK),
+    ("--json doubling --xs 3/5,3/5,3/5,-9/10,-9/10", EXIT_NEGATIVE),
+    ("--json suitable --gaps 1/3,1/3,1/3 --t 1", EXIT_OK),
+    ("--json suitable --gaps 4/7,2/7,1/7 --t 1", EXIT_NEGATIVE),
+    ("--json check --input @/c.txt --gaps 4,2,1", EXIT_OK),
+    ("check --input @/c.txt --gaps 4,2,2", EXIT_ERROR),
+    ("--json uniform-check --k 3 --max-t 0", EXIT_ERROR),
+    ("--json solve --k 3 --timeout 0", EXIT_ERROR),
+    ("--json beatty-check --alphas 3,2 --half --limit 10", EXIT_ERROR),
+    ("--json check --no-such-flag", EXIT_ERROR),
+    ("--json balanced-check", EXIT_ERROR),
+    ("--json check --input @/missing.txt --gaps 4,2,1", EXIT_ERROR),
+]
 
-    def __init__(self, recorded, max_workers):
-        recorded.append(max_workers)
 
-    def __enter__(self):
-        return self
+@pytest.fixture(scope="module")
+def batch_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("batch")
+    (path / "c.txt").write_text("7\nRRRRBBB\n", encoding="utf-8")
+    return path
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+@settings(max_examples=40, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from(BATCH_POOL),
+                                st.one_of(st.none(), st.integers(0, 4))), max_size=7))
+def test_batch_random_specs(batch_dir, lines):
+    # an expected code drawn as None is the item's own, so most specs pass
+    spec = batch_dir / "spec.sweep"
+    spec.write_text("".join(f"{code if expected is None else expected} {args}\n"
+                            for (args, code), expected in lines), encoding="utf-8")
+    outputs = {}
+    for workers in ("1", "2"):
+        report = batch_dir / f"report{workers}.json"
+        out = io.StringIO()
+        with mock.patch.object(os, "cpu_count", return_value=2), redirect_stdout(out):
+            code = dispatch(["--parallel", workers, "batch", str(spec), "--report", str(report)])
+        outputs[workers] = (code, out.getvalue(), report.read_bytes())
+    assert outputs["1"] == outputs["2"]
+    code, _, text = outputs["1"]
+    items = json.loads(text)["items"]
+    assert len(items) == len(lines)
+    for item, ((args, own), _) in zip(items, lines):
+        assert item["actual"] == cli._run_sweep_item(shlex.split(args), batch_dir) == own
+        assert item["pass"] == (item["actual"] == item["expected"])
+    failed = [item["actual"] for item in items if not item["pass"]]
+    assert code == (EXIT_OK if not failed else EXIT_ERROR if EXIT_ERROR in failed
+                    else EXIT_NEGATIVE)
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    recorded = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: InlinePool(recorded, max_workers))
-    return recorded
+def forks(monkeypatch):
+    """Counts the batch's forked workers; each fork is a real one."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
 
 
-def test_batch_pool_capped_at_items_and_cpus(tmp_path, pool_sizes, monkeypatch):
+def test_batch_pool_capped_at_items_and_cpus(tmp_path, forks, monkeypatch):
     spec = write_spec(tmp_path, ["0 --json balanced-check --period a,b,a,c,a,b,a",
                                  "1 --json balanced-check --period a,a,b,b"])
     report = tmp_path / "report.json"
     argv = ["--parallel", "1000000", "batch", str(spec), "--report", str(report)]
     cpus = os.cpu_count() or 1
     assert dispatch(argv) == EXIT_OK
+    # this process is worker 0, so W workers fork W - 1 children
+    assert len(forks) == min(2, cpus) - 1
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    forks.clear()
     assert dispatch(argv) == EXIT_OK
-    # a pool only for two or more workers; one worker runs in this process
-    assert pool_sizes == ([min(2, cpus)] if cpus > 1 else [])
+    assert forks == []
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "many"])
-def test_parallel_must_be_a_positive_integer(tmp_path, pool_sizes, value):
+def test_parallel_must_be_a_positive_integer(tmp_path, forks, value):
     spec = write_spec(tmp_path, ["0 --json balanced-check --period a,b,a,c,a,b,a"])
     assert dispatch(["--parallel", value, "batch", str(spec)]) == EXIT_ERROR
-    assert pool_sizes == []
+    assert forks == []
+
+
+@pytest.mark.parametrize("killed_at, actual", [(1, [0, 2, 1, 2]), (3, [0, 0, 1, 2])])
+def test_a_killed_worker_leaves_its_items_reading_2(tmp_path, monkeypatch, killed_at, actual):
+    # two workers: this process runs items 0 and 2, the child items 1 and 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    lines = ["0 --json balanced-check --period a,b,a,c,a,b,a",
+             "0 --json doubling --k 3 --t 1",
+             "1 --json balanced-check --period a,a,b,b",
+             "1 --json doubling --xs 3/5,3/5,3/5,-9/10,-9/10"]
+    spec = write_spec(tmp_path, lines)
+    doomed = shlex.split(lines[killed_at])[1:]
+    parent = os.getpid()
+    run_item = cli._run_sweep_item
+
+    def run_or_die(argv, spec_dir):
+        if argv == doomed and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_item(argv, spec_dir)
+
+    monkeypatch.setattr(cli, "_run_sweep_item", run_or_die)
+    report = tmp_path / "report.json"
+    code = dispatch(["--parallel", "2", "batch", str(spec), "--report", str(report)])
+    body = json.loads(report.read_text(encoding="utf-8"))
+    assert code == EXIT_ERROR   # a crash is never a verdict
+    assert [item["actual"] for item in body["items"]] == actual
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_batch_verdicts_match_one_interpreter_per_item(tmp_path):
@@ -700,7 +798,7 @@ def test_batch_verdicts_match_one_interpreter_per_item(tmp_path):
 
 
 def test_batch_parse_errors_before_valid_items_match_one_interpreter_per_item(
-        tmp_path, capsys, pool_sizes):
+        tmp_path, capsys, forks):
     # items that fail to parse come first, so a parser reused across items
     # would carry any state they leave into the valid ones
     fixture = tmp_path / "c.txt"
@@ -715,13 +813,13 @@ def test_batch_parse_errors_before_valid_items_match_one_interpreter_per_item(
         "0 --json uniform-check --k 3 --max-t 14",
     ])
     code, body = run_json(capsys, ["batch", str(spec)])
-    assert code == EXIT_OK and pool_sizes == []
+    assert code == EXIT_OK and forks == []
     actual = [item["actual"] for item in body["items"]]
     reference = [run_sweep_item_in_subprocess(item["argv"], tmp_path) for item in body["items"]]
     assert actual == reference == [2, 2, 2, 0, 0, 1, 0]
 
 
-def test_many_dispatches_build_the_parser_once(tmp_path, capsys, pool_sizes):
+def test_many_dispatches_build_the_parser_once(tmp_path, capsys):
     spec = write_spec(tmp_path, ["0 --json balanced-check --period a,b,a,c,a,b,a",
                                  "2 --json balanced-check",
                                  "1 --json balanced-check --period a,a,b,b"])
@@ -753,12 +851,21 @@ def test_no_parser_action_has_a_mutable_default():
                                        argparse._ExtendAction)), action.dest
 
 
+def run_fresh_interpreter(lines):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)   # stdout to a pipe is then block-buffered
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 def test_cli_import_builds_no_parser_and_one_worker_starts_no_pool(tmp_path):
     # a fresh interpreter, since this one has built the parser and may have
     # imported the pool machinery already
     spec = write_spec(tmp_path, ["0 --json balanced-check --period a,b,a,c,a,b,a",
                                  "1 --json balanced-check --period a,a,b,b"])
-    script = "\n".join([
+    proc = run_fresh_interpreter([
         "import sys",
         "from ramsey_circle import cli",
         "assert cli.build_parser.cache_info().currsize == 0, 'parser built at import'",
@@ -768,15 +875,48 @@ def test_cli_import_builds_no_parser_and_one_worker_starts_no_pool(tmp_path):
         "assert cli.build_parser.cache_info().misses == 1",
         "sys.exit(code)",
     ])
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
 
 
-def test_frozen_benchmark_sweep_passes(tmp_path, pool_sizes):
+def test_parallel_batch_imports_no_pool_machinery(tmp_path):
+    spec = write_spec(tmp_path, ["0 --json balanced-check --period a,b,a,c,a,b,a",
+                                 "1 --json balanced-check --period a,a,b,b"])
+    proc = run_fresh_interpreter([
+        "import os, sys",
+        "from ramsey_circle import cli",
+        "os.cpu_count = lambda: 2",
+        "forks, real_fork = [], os.fork",
+        "os.fork = lambda: forks.append(1) or real_fork()",
+        f"code = cli.dispatch(['--parallel', '2', 'batch', {str(spec)!r}, "
+        f"'--report', {str(tmp_path / 'report.json')!r}])",
+        "assert forks == [1], forks",
+        "for name in ('concurrent.futures', 'multiprocessing', 'logging'):",
+        "    assert name not in sys.modules, name",
+        "sys.exit(code)",
+    ])
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def test_parallel_batch_writes_earlier_output_once(tmp_path):
+    # stdout is a pipe here, so the text sits in the buffer when the batch
+    # forks; each item flushes the real stdout, as one that printed to it would
+    spec = write_spec(tmp_path, ["0 --json balanced-check --period a,b,a,c,a,b,a",
+                                 "1 --json balanced-check --period a,a,b,b"])
+    proc = run_fresh_interpreter([
+        "import os, sys",
+        "from ramsey_circle import cli",
+        "os.cpu_count = lambda: 2",
+        "run_item = cli._run_sweep_item",
+        "cli._run_sweep_item = lambda *a: sys.__stdout__.flush() or run_item(*a)",
+        "sys.stdout.write('unflushed text, ')",
+        f"sys.exit(cli.dispatch(['--parallel', '2', 'batch', {str(spec)!r}, "
+        f"'--report', {str(tmp_path / 'report.json')!r}]))",
+    ])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == "unflushed text, 2/2 passed\n"
+
+
+def test_frozen_benchmark_sweep_passes(tmp_path):
     # the benchmark's cli-batch workload runs this frozen copy, so a change
     # that would fail it fails here first; the file is only read
     spec = SWEEP_DIR.parent / "bench" / "sweep" / "acceptance.sweep"
