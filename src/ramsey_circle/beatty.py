@@ -26,9 +26,11 @@ from typing import Optional, Sequence
 
 from .core import power_tuple
 
-#: Largest common numerator p that `fraenkel_diagnostics` accepts: it builds
-#: a word of length 2p whatever range it reports on (p = 10^6 takes ~0.3 s).
-MAX_DIAGNOSTIC_PERIOD = 10**6
+#: Longest owner list or word the module builds, refused above before it is
+#: allocated: the prefix that `partition_check` marks, the word of
+#: `word_from_pair`, and so the 2p-long word of `fraenkel_diagnostics`
+#: (p <= 10^6).  Marking 2 * 10^6 owners takes about 0.4 s.
+MAX_WORD_LENGTH = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,11 @@ class PartitionError(ValueError):
         super().__init__(msg)
 
 
+def _check_length(length: int) -> None:
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(f"{length} owners are above the word limit {MAX_WORD_LENGTH}")
+
+
 def _mark_prefix(pair: BeattyPair, M: int) -> tuple[list[int], PartitionVerdict]:
     """Owners (1-based, 0 = none) of the exact prefix [0, min(M, V0 + p))
     and the partition verdict on [0, M); see `partition_check`."""
@@ -117,6 +124,7 @@ def _mark_prefix(pair: BeattyPair, M: int) -> tuple[list[int], PartitionVerdict]
         raise ValueError("M must be >= 1")
     v0 = max(0, max(math.floor(b) for b in pair.betas) + 1)
     L = min(M, v0 + pair.common_numerator())
+    _check_length(L)
     owners = [0] * L
     collisions = []
     for i, (alpha, beta) in enumerate(zip(pair.alphas, pair.betas), start=1):
@@ -161,7 +169,8 @@ def partition_check(pair: BeattyPair, M: int) -> PartitionVerdict:
       marking all of [0, M).
 
     Collisions are reported in preference to gaps, as `PartitionVerdict`
-    says; the cost is O(L) whatever M is.
+    says; the cost is O(L) whatever M is, and L above `MAX_WORD_LENGTH` is
+    refused with ValueError.
     """
     return _mark_prefix(pair, M)[1]
 
@@ -172,8 +181,10 @@ def word_from_pair(pair: BeattyPair, M: int) -> tuple[int, ...]:
 
     The exact prefix [0, L) of `partition_check` is marked.  When M > L,
     L = V0 + p and the owners are p-periodic from V0 = L - p on, so the
-    word continues with repeats of owners[L - p:L] up to length M.
+    word continues with repeats of owners[L - p:L] up to length M.  M above
+    `MAX_WORD_LENGTH` is refused with ValueError.
     """
+    _check_length(M)
     owners, verdict = _mark_prefix(pair, M)
     if not verdict.ok:
         raise PartitionError(verdict)
@@ -297,7 +308,7 @@ def _consecutive_condition(word: Sequence[int], letter: int) -> bool:
 def fraenkel_diagnostics(pair: BeattyPair, M: int) -> FraenkelReport:
     """Verify the period structure of a half-shifted partitioning pair.
 
-    Needs beta_i = alpha_i / 2, M >= 2p and p <= MAX_DIAGNOSTIC_PERIOD where
+    Needs beta_i = alpha_i / 2, M >= 2p and 2p <= MAX_WORD_LENGTH where
     p is the common numerator of the alphas; partition failures propagate
     as PartitionError.  The report on [0, M) is read from the prefix
     [0, 2p): each alpha_i is at most its numerator, hence at most p, so
@@ -312,9 +323,6 @@ def fraenkel_diagnostics(pair: BeattyPair, M: int) -> FraenkelReport:
     p = pair.common_numerator()
     if M < 2 * p:
         raise ValueError(f"M={M} too small: need at least 2p = {2 * p}")
-    if p > MAX_DIAGNOSTIC_PERIOD:
-        raise ValueError(f"period {p} is above the diagnostics limit "
-                         f"{MAX_DIAGNOSTIC_PERIOD}")
     word = word_from_pair(pair, 2 * p)
     period = word[:p]
     periodic = all(word[j] == word[j % p] for j in range(2 * p))

@@ -1,14 +1,21 @@
 """Monochromatic-copy detection in colourings of Z_n.
 
-`detect_bruteforce` scans every permuted copy of the gap tuple directly and
-is the independent oracle.  Every other copy question goes through one
-kernel, a reachability DP indexed by the sub-multiset of gaps a path uses:
-`detect_dp` runs it once per colour class, and `find_copy_in_class` is the
-single-class query.  Sub-multisets are mixed-radix indices over (distinct
-gap value, multiplicity), so repeated gaps and colliding subset sums need
-no special case.  Each state is one n-bit integer holding every start
-vertex at once, so a pass costs prod(multiplicity + 1) rotations of an
-n-bit mask, 2^k for distinct gaps.
+`detect_bruteforce` and `count_copies` scan every (start, gap order) pair
+directly and are the independent oracle.  Their plan, `_orders`, is cached
+per gap tuple: every distinct gap order in lexicographic order, with the
+offsets of its walk from vertex 0 and their mask.  The walk of an order from
+v reaches its highest vertex, v + n - order[-1], last, so it presents a copy
+from the copy's smallest vertex exactly when v < order[-1]; its mask is then
+the plan's mask shifted by v, with no reduction mod n.
+
+Every other copy question goes through one kernel, a reachability DP
+indexed by the sub-multiset of gaps a path uses: `detect_dp` runs it once
+per colour class, and `find_copy_in_class` is the single-class query.
+Sub-multisets are mixed-radix indices over (distinct gap value,
+multiplicity), so repeated gaps and colliding subset sums need no special
+case.  Each state is one n-bit integer holding every start vertex at once,
+so a pass costs prod(multiplicity + 1) rotations of an n-bit mask, 2^k for
+distinct gaps.
 
 Both routes return the same witness on the same input: the copy whose
 presentation (smallest vertex, then gap order, then Red before Blue) is
@@ -22,13 +29,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import Colouring, DiscreteInstance, rotate_mask
 
-# Above this many (start, order) walks the copy table is not cached and
-# detection streams instead; verdicts and witnesses are identical.
-_CACHE_WALK_LIMIT = 400_000
+#: Copies, (start, order) pairs with start < order[-1], that one brute-force
+#: scan may visit, refused above before its plan is built.  k gaps with m
+#: distinct orders give m * n / k of them, never fewer than m.  The SAT
+#: re-check at k = 8 (n = 255) has 1 285 200; 9 distinct gaps at least
+#: 1 814 400 (362 880 orders).
+BRUTE_LIMIT = 1_500_000
 
 #: Bits one kernel pass may hold, refused above before any table is built:
 #: per sub-multiset state an n-bit reach mask plus about 512 bits per gap of
@@ -71,62 +81,40 @@ def _colour_name(base: str, vertices: Sequence[int], black: Optional[int]) -> st
     return name
 
 
-def _distinct_orders(gaps: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return sorted(set(itertools.permutations(gaps)))
-
-
 def cyclic_canonical(order: Sequence[int]) -> tuple[int, ...]:
     """The lexicographically least rotation, used to compare cyclic orders."""
     t = tuple(order)
     return min(t[i:] + t[:i] for i in range(len(t)))
 
 
-def _normalize_restriction(restriction) -> Optional[frozenset]:
-    if restriction is None:
-        return None
-    return frozenset(cyclic_canonical(r) for r in restriction)
-
-
-def _iter_copies(n: int, gaps: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
-    """Yield each distinct copy once as (v0, gap_order, vertices, mask).
-
-    v0 is the smallest vertex of the copy and the walk starts there, so the
-    stream is sorted by (v0, gap_order); a walk whose vertices dip below its
-    start is a non-canonical presentation of a copy already yielded.
+@lru_cache(maxsize=64)
+def _orders(gaps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """(order, offsets, mask) for each distinct order of the gaps, in
+    lexicographic order: offsets are the walk's vertices from 0, mask their
+    bits.  Refused above `BRUTE_LIMIT` before anything is built.
     """
-    orders = _distinct_orders(gaps)
-    for v in range(n):
-        for order in orders:
-            vertices = [v]
-            mask = 1 << v
-            u = v
-            ok = True
-            for g in order[:-1]:
-                u = (u + g) % n
-                if u < v:
-                    ok = False
-                    break
-                vertices.append(u)
-                mask |= 1 << u
-            if ok:
-                yield v, order, tuple(vertices), mask
-
-
-@lru_cache(maxsize=32)
-def _copy_table(n: int, gaps: tuple[int, ...]):
-    return tuple(_iter_copies(n, gaps))
-
-
-def _walk_budget(n: int, gaps: tuple[int, ...]) -> int:
-    return n * math.factorial(len(gaps))
-
-
-def _copies(n: int, gaps: tuple[int, ...]):
-    """Every copy in `_iter_copies` order: the cached table when its walk
-    count is within `_CACHE_WALK_LIMIT`, else a fresh stream."""
-    if _walk_budget(n, gaps) <= _CACHE_WALK_LIMIT:
-        return _copy_table(n, gaps)
-    return _iter_copies(n, gaps)
+    k, n, order = len(gaps), sum(gaps), sorted(gaps)
+    orders = math.factorial(k)
+    for _, run in itertools.groupby(order):
+        orders //= math.factorial(len(list(run)))
+    if orders * n // k > BRUTE_LIMIT:
+        raise ValueError(f"{orders * n // k} copies of {orders} gap orders are above "
+                         f"the brute-force budget of {BRUTE_LIMIT}")
+    plan = []
+    while True:
+        offsets = tuple(itertools.accumulate(order[:-1], initial=0))
+        plan.append((tuple(order), offsets, sum(map((1).__lshift__, offsets))))
+        # the next distinct order: swap the last ascent up, reverse the tail
+        i = k - 2
+        while i >= 0 and order[i] >= order[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(plan)
+        j = k - 1
+        while order[j] <= order[i]:
+            j -= 1
+        order[i], order[j] = order[j], order[i]
+        order[i + 1:] = order[:i:-1]
 
 
 def detect_bruteforce(c: Colouring, inst: DiscreteInstance,
@@ -135,20 +123,27 @@ def detect_bruteforce(c: Colouring, inst: DiscreteInstance,
     """Scan all permuted copies; return the lexicographically least witness.
 
     With `restriction` given, only copies whose cyclic gap order is in the
-    set are considered.
+    set are considered.  Starts run outermost and the plan is in order, so
+    the scan meets copies sorted by (smallest vertex, gap order).
     """
     if c.n != inst.n:
         raise ValueError(f"colouring has n={c.n} but instance has n={inst.n}")
-    rset = _normalize_restriction(restriction)
+    plan = _orders(inst.gaps)
+    if restriction is not None:
+        allowed = {cyclic_canonical(r) for r in restriction}
+        plan = [p for p in plan if cyclic_canonical(p[0]) in allowed]
     red = c.class_mask("R")
     blue = c.class_mask("B")
-    for v0, order, vertices, mask in _copies(inst.n, tuple(inst.gaps)):
-        if rset is not None and cyclic_canonical(order) not in rset:
-            continue
-        if mask & red == mask:
-            return CopyWitness(vertices, order, _colour_name("R", vertices, c.black))
-        if mask & blue == mask:
-            return CopyWitness(vertices, order, _colour_name("B", vertices, c.black))
+    for start, g in itertools.pairwise([0, *sorted(set(inst.gaps))]):
+        for v in range(start, g):
+            for order, offsets, mask in plan:
+                shifted = mask << v
+                if shifted & red == shifted or shifted & blue == shifted:
+                    vertices = tuple(v + o for o in offsets)
+                    base = "R" if shifted & red == shifted else "B"
+                    return CopyWitness(vertices, order, _colour_name(base, vertices, c.black))
+        # from start g on, the orders ending in g present no copy
+        plan = [p for p in plan if p[0][-1] > g]
     return None
 
 
@@ -260,9 +255,12 @@ def count_copies(c: Colouring, inst: DiscreteInstance) -> tuple[int, int]:
     red_mask = c.red_mask
     blue_mask = c.blue_mask
     red = blue = 0
-    for _, _, _, mask in _copies(inst.n, tuple(inst.gaps)):
-        if mask & red_mask == mask:
-            red += 1
-        elif mask & blue_mask == mask:
-            blue += 1
+    for order, offsets, _ in _orders(inst.gaps):
+        # bit v is set while the walk from start v < order[-1] stays in class
+        red_hits = blue_hits = (1 << order[-1]) - 1
+        for o in offsets:
+            red_hits &= red_mask >> o
+            blue_hits &= blue_mask >> o
+        red += red_hits.bit_count()
+        blue += blue_hits.bit_count()
     return red, blue

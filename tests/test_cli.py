@@ -87,6 +87,23 @@ def test_check_restriction_file(capsys, split7, tmp_path):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("flag", ["--brute", "--count", "--restrict"])
+def test_check_brute_force_above_the_budget_is_refused(capsys, tmp_path, flag):
+    # 9 distinct gaps on Z_45: 362880 gap orders, 1814400 copies
+    restrict = tmp_path / "orders.txt"
+    restrict.write_text("1,2,3,4,5,6,7,8,9\n", encoding="utf-8")
+    extra = [flag, str(restrict)] if flag == "--restrict" else [flag]
+    colouring = SWEEP_DIR / "colourings" / "alternating_45.txt"
+    started = time.perf_counter()
+    code = dispatch(["--json", "check", "--input", str(colouring),
+                     "--gaps", "9,8,7,6,5,4,3,2,1", *extra])
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1814400 copies of 362880 gap orders are above the brute-force budget" in captured.err
+
+
 def test_check_dimension_mismatch_is_usage_error(capsys, split7):
     code = dispatch(["check", "--input", split7, "--gaps", "3,2,1"])
     assert code == EXIT_ERROR
@@ -242,16 +259,42 @@ def test_beatty_diagnostics_above_the_period_limit_are_refused(capsys):
     assert time.perf_counter() - started < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "above the diagnostics limit 1000000" in captured.err
+    assert "40000006 owners are above the word limit 2000000" in captured.err
 
 
 def test_beatty_diagnostics_period_limit_is_inclusive(capsys, monkeypatch):
+    # p = 7: the marked prefix has V0 + p = 11 owners, the diagnostics' word 14
     argv = ["beatty-check", "--alphas", "7/4,7/2,7", "--half", "--limit", "1000"]
-    monkeypatch.setattr(beatty, "MAX_DIAGNOSTIC_PERIOD", 7)
+    monkeypatch.setattr(beatty, "MAX_WORD_LENGTH", 14)
     code, body = run_json(capsys, argv)
     assert code == EXIT_OK and body["diagnostics"]["period_length"] == 7
-    monkeypatch.setattr(beatty, "MAX_DIAGNOSTIC_PERIOD", 6)
+    monkeypatch.setattr(beatty, "MAX_WORD_LENGTH", 13)
     assert dispatch(argv) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("limit", ["2000005", "1000000000000000000"])
+def test_beatty_marking_above_the_word_limit_is_refused(capsys, limit):
+    # p = 20000003: the verdict would mark min(limit, V0 + p) owners
+    argv = ["--json", "beatty-check", "--alphas", "20000003/20000002", "--half",
+            "--limit", limit]
+    started = time.perf_counter()
+    assert dispatch(argv) == EXIT_ERROR
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above the word limit 2000000" in captured.err
+
+
+def test_beatty_word_limit_is_inclusive(monkeypatch):
+    pair = beatty.power_pair(3)
+    monkeypatch.setattr(beatty, "MAX_WORD_LENGTH", 11)
+    assert beatty.partition_check(pair, 10**18).ok   # V0 + p = 4 + 7 owners
+    assert len(beatty.word_from_pair(pair, 11)) == 11
+    with pytest.raises(ValueError, match="12 owners are above the word limit 11"):
+        beatty.word_from_pair(pair, 12)
+    monkeypatch.setattr(beatty, "MAX_WORD_LENGTH", 10)
+    with pytest.raises(ValueError, match="11 owners are above the word limit 10"):
+        beatty.partition_check(pair, 10**18)
 
 
 def test_balanced_check(capsys):
@@ -484,8 +527,27 @@ def fraction_list(draw, q):
 @st.composite
 def dispatch_argv(draw, colouring_dir):
     command = draw(st.sampled_from(["suitable", "suitable-search", "witness-search",
-                                    "majority", "check", "nearly-ramsey"]))
+                                    "majority", "check", "nearly-ramsey",
+                                    "beatty-check", "balanced-check"]))
     t = str(draw(st.integers(-1, 50)))
+    if command == "beatty-check":
+        # a doubling pair, which partitions, or small alphas that are at times
+        # zero or unsorted; half shifts or drawn betas; limits past 10^18
+        if draw(st.booleans()):
+            alphas = list(beatty.power_pair(draw(st.integers(3, 6))).alphas)
+        else:
+            alphas = draw(st.lists(st.fractions(0, 8, max_denominator=9), min_size=1, max_size=4))
+            if draw(st.integers(0, 3)):
+                alphas.sort()
+        shift = ("--half" if draw(st.booleans()) else
+                 "--betas=" + ",".join(str(draw(small_fraction)) for _ in alphas))
+        limit = draw(st.one_of(st.integers(-1, 300), st.just(10**18)))
+        return [command, "--alphas", ",".join(map(str, alphas)), shift, f"--limit={limit}"]
+    if command == "balanced-check":
+        # letters a.. or digits 1..; a missing letter, 0 or a mix is refused
+        alphabet = draw(st.sampled_from(["ab", "abc", "abc", "abcd", "123", "a1", "120"]))
+        letters = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=20))
+        return [command, "--period", draw(st.sampled_from([",", " ", ""])).join(letters)]
     if command == "majority":
         # near 1/r for r around the eps window (1/126, 1/80) of k = 6
         q = draw(denominator)
@@ -515,7 +577,7 @@ def colouring_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("colourings")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_dispatch_random_fractional_inputs(colouring_dir, data):
     argv = data.draw(dispatch_argv(colouring_dir))

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -34,6 +36,35 @@ def oracle_copies(c: Colouring, inst: DiscreteInstance):
             if all(blue_class >> u & 1 for u in vertices):
                 blue.append(key)
     return red, blue
+
+
+def oracle_witness(c: Colouring, inst: DiscreteInstance, restriction=None):
+    """The least witness by modular walks: every start, every distinct gap
+    order in lexicographic order, a walk that dips below its start skipped."""
+    orders = sorted(set(itertools.permutations(inst.gaps)))
+    if restriction is not None:
+        allowed = {cyclic_canonical(r) for r in restriction}
+        orders = [o for o in orders if cyclic_canonical(o) in allowed]
+    classes = (("Red", c.class_mask("R")), ("Blue", c.class_mask("B")))
+    for v in range(inst.n):
+        for order in orders:
+            vertices = [v]
+            for g in order[:-1]:
+                vertices.append((vertices[-1] + g) % inst.n)
+            if min(vertices) < v:
+                continue
+            for name, cls in classes:
+                if all(cls >> u & 1 for u in vertices):
+                    suffix = "OrBlack" if c.black in vertices else ""
+                    return CopyWitness(tuple(vertices), order, name + suffix)
+    return None
+
+
+def random_restriction(rng, gaps):
+    """One to three cyclic orders of the gaps, some of them rotated."""
+    orders = sorted(set(itertools.permutations(gaps)))
+    chosen = rng.sample(orders, rng.randint(1, min(3, len(orders))))
+    return [o[i:] + o[:i] for o in chosen for i in [rng.randrange(len(o))]]
 
 
 P3 = discretize(power_tuple(3))
@@ -160,9 +191,22 @@ def distinct_subset_sum_instances(rng, count):
     return out
 
 
+def repeated_gap_instances(rng, count):
+    """Random gap tuples with at least one repeated value."""
+    out = []
+    while len(out) < count:
+        gaps = tuple(rng.randint(1, 5) for _ in range(rng.randint(3, 5)))
+        if len(set(gaps)) < len(gaps):
+            out.append(DiscreteInstance(n=sum(gaps), gaps=gaps))
+    return out
+
+
 def test_detectors_match_oracle_on_general_instances():
     rng = random.Random(12)
-    for inst in distinct_subset_sum_instances(rng, 25):
+    instances = distinct_subset_sum_instances(rng, 25) + repeated_gap_instances(rng, 15)
+    restricted = 0
+    for inst in instances:
+        distinct = len(set(inst.gaps)) == inst.k
         for _ in range(40):
             black = rng.randrange(inst.n) if rng.random() < 0.3 else None
             c = Colouring(inst.n, rng.getrandbits(inst.n), black=black)
@@ -171,9 +215,17 @@ def test_detectors_match_oracle_on_general_instances():
             wb = detect_bruteforce(c, inst)
             wd = detect_dp(c, inst)
             assert (wb is not None) == expected, (inst, c.to_string())
-            assert wd == wb, (inst, c.to_string())
+            assert wd == wb == oracle_witness(c, inst), (inst, c.to_string())
             if expected:
                 assert wb.revalidates(c, inst)
+            if distinct and black is None:
+                assert count_copies(c, inst) == (len(red), len(blue)), (inst, c.to_string())
+            if rng.random() < 0.3:
+                restriction = random_restriction(rng, inst.gaps)
+                assert (detect_bruteforce(c, inst, restriction)
+                        == oracle_witness(c, inst, restriction)), (inst, c, restriction)
+                restricted += 1
+    assert restricted > 300
 
 
 def test_detectors_match_oracle_with_black():
@@ -251,19 +303,24 @@ def test_restriction_monotonicity():
             assert w_large is not None and w_all is not None
 
 
-def test_streaming_path_matches_cached(monkeypatch):
-    # Force the streaming branch by shrinking the cache limit to zero.
-    import ramsey_circle.detector as det
-    inst = discretize(power_tuple(3))
+def test_order_plan_presents_exactly_the_modular_walks():
+    # the plan's walk from v < order[-1], shifted by v, is the modular walk
+    # from v that never dips below v, and v >= order[-1] always dips
     rng = random.Random(3)
-    cached_results = []
     for _ in range(40):
-        c = Colouring.random(7, rng)
-        cached_results.append((c, detect_bruteforce(c, inst), count_copies(c, inst)))
-    monkeypatch.setattr(det, "_CACHE_WALK_LIMIT", 0)
-    for c, witness, counts in cached_results:
-        assert detect_bruteforce(c, inst) == witness
-        assert count_copies(c, inst) == counts
+        gaps = tuple(sorted(rng.randint(1, 6) for _ in range(rng.randint(1, 5))))
+        n = sum(gaps)
+        plan = detector._orders(gaps)
+        assert [order for order, _, _ in plan] == sorted(set(itertools.permutations(gaps)))
+        for order, offsets, mask in plan:
+            assert mask == sum(1 << o for o in offsets)
+            for v in range(n):
+                walk = [v]
+                for g in order[:-1]:
+                    walk.append((walk[-1] + g) % n)
+                assert (min(walk) == v) == (v < order[-1]), (gaps, order, v)
+                if v < order[-1]:
+                    assert walk == [v + o for o in offsets]
 
 
 def test_find_copy_in_class_matches_detector():
@@ -300,7 +357,11 @@ def test_dp_matches_bruteforce_on_repeated_and_colliding_gaps():
         black_used += black is not None
         c = Colouring(inst.n, rng.getrandbits(inst.n), black=black)
         w = detect_dp(c, inst)
-        assert w == detect_bruteforce(c, inst), (gaps, c)
+        assert w == detect_bruteforce(c, inst) == oracle_witness(c, inst), (gaps, c)
+        if rng.random() < 0.3:
+            restriction = random_restriction(rng, gaps)
+            assert (detect_bruteforce(c, inst, restriction)
+                    == oracle_witness(c, inst, restriction)), (gaps, c, restriction)
         red = c.class_mask("R")
         assert find_copy_in_class(red, inst.n, gaps) == dfs_copy_in_class(red, inst.n, gaps)
         if w is not None:
@@ -330,3 +391,46 @@ def test_repeated_gaps_are_budgeted_by_their_sub_multisets():
     # forty equal gaps have 41 sub-multisets, far below the 2^40 bound
     n = 40
     assert find_copy_in_class((1 << n) - 1, n, (1,) * n) == (tuple(range(n)), (1,) * n)
+
+
+def test_bruteforce_on_a_large_circle_keeps_no_colouring_sized_table():
+    # n = 66666 with three distinct gaps: the plan holds 6 orders, whatever n is
+    n = 66666
+    c = Colouring(n, int("01" * (n // 2), 2))
+    inst = DiscreteInstance(n, (33333, 22222, 11111))
+    tracemalloc.start()
+    try:
+        assert count_copies(c, inst) == (0, 0)
+        assert detect_bruteforce(c, inst) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+
+
+@pytest.mark.parametrize("gaps", [tuple(range(1, 10)), (1, 2, 3, 4, 5, 6, 7, 8, 100)])
+def test_bruteforce_above_the_budget_is_refused_before_the_plan(gaps):
+    # 9 distinct gaps: 362880 orders (about 1.4 s to build) and 362880 n / 9
+    # copies, refused before any is built
+    started = time.perf_counter()
+    inst = DiscreteInstance(sum(gaps), gaps)
+    c = Colouring(inst.n, 0)
+    with pytest.raises(ValueError, match="above the brute-force budget"):
+        detect_bruteforce(c, inst)
+    with pytest.raises(ValueError, match="above the brute-force budget"):
+        detect_bruteforce(c, inst, restriction=[gaps])
+    with pytest.raises(ValueError, match="above the brute-force budget"):
+        count_copies(c, inst)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_bruteforce_budget_admits_the_sat_recheck_and_counts_distinct_orders():
+    # the SAT re-check at k = 8 on Z_255: 40320 orders, 1285200 copies
+    inst = discretize(power_tuple(8))
+    assert len(detector._orders(inst.gaps)) == 40320
+    w = detect_bruteforce(Colouring(255, 0), inst)
+    assert w == CopyWitness((0, 1, 3, 7, 15, 31, 63, 127), tuple(sorted(inst.gaps)), "Blue")
+    # forty equal gaps have one order, however many permutations they have
+    n = 40
+    w = detect_bruteforce(Colouring(n, (1 << n) - 1), DiscreteInstance(n, (1,) * n))
+    assert w == CopyWitness(tuple(range(n)), (1,) * n, "Red")
