@@ -40,6 +40,12 @@ from .core import Colouring, DiscreteInstance, rotate_mask
 #: 1 814 400 (362 880 orders).
 BRUTE_LIMIT = 1_500_000
 
+#: 64-bit words one `detect_bruteforce` scan may touch, copies times
+#: ceil(n / 64) since each copy shifts and tests an n-bit mask, refused above
+#: before the scan starts.  Three distinct gaps on n = 66 666 need 1.4e8;
+#: the SAT re-check at k = 8 5.1e6.
+BRUTE_WORD_LIMIT = 200_000_000
+
 #: Bits one kernel pass may hold, refused above before any table is built:
 #: per sub-multiset state an n-bit reach mask plus about 512 bits per gap of
 #: plan.  k = 13 on the eps = 1/100 majority grid needs 2.7e10, k = 14 1.1e11.
@@ -132,6 +138,10 @@ def detect_bruteforce(c: Colouring, inst: DiscreteInstance,
     if restriction is not None:
         allowed = {cyclic_canonical(r) for r in restriction}
         plan = [p for p in plan if cyclic_canonical(p[0]) in allowed]
+    copies = sum(order[-1] for order, _, _ in plan)
+    if copies * -(-c.n // 64) > BRUTE_WORD_LIMIT:
+        raise ValueError(f"{copies} copies of {c.n} bits are above the brute-force "
+                         f"scan budget of {BRUTE_WORD_LIMIT} words")
     red = c.class_mask("R")
     blue = c.class_mask("B")
     for start, g in itertools.pairwise([0, *sorted(set(inst.gaps))]):

@@ -15,7 +15,7 @@ solver like any other, and kissat/cadical/minisat can replace it through
 
 Implements the standard loop: two-watched-literal unit propagation, first
 unique implication point conflict analysis, activity-driven branching with
-phase saving, and geometric restarts.
+phase saving (or a fixed order, for the least model), and geometric restarts.
 
 Layout: the two per-literal tables, `val` and `watches`, are lists of
 length 2n + 1 indexed by the signed literal itself.  Python's negative
@@ -39,12 +39,15 @@ from .satgen import dimacs_read
 class Solver:
     """CDCL search over `clauses`.  After `solve()`, `conflicts`,
     `decisions`, `propagations` (trail literals propagated) and `restarts`
-    count the work it did.  Building it raises TimeoutError once
-    `time.monotonic()` passes `deadline`, checked every 1024 clauses."""
+    count the work it did.  Building and solving raise TimeoutError once
+    `time.monotonic()` passes `deadline`.  `order`, if given, lists every
+    variable, and each decision sets the first unassigned one in it false."""
 
     def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]],
-                 deadline: Optional[float] = None):
+                 deadline: Optional[float] = None, order: Optional[Sequence[int]] = None):
         self.nv = num_vars
+        self.deadline = deadline
+        self.order = order
         self.val = [0] * (2 * num_vars + 1)
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
         self.level = [0] * (num_vars + 1)
@@ -206,6 +209,8 @@ class Solver:
 
     def _decide(self) -> Optional[int]:
         val = self.val
+        if self.order is not None:
+            return next((-var for var in self.order if not val[var]), None)
         activity = self.activity
         best = 0
         best_act = -1.0
@@ -217,10 +222,8 @@ class Solver:
             return None
         return best if self.phase[best] else -best
 
-    def solve(self, deadline: Optional[float] = None) -> Optional[list[bool]]:
-        """A model indexed by variable (slot 0 unused), or None if unsatisfiable.
-        Raises TimeoutError once `time.monotonic()` passes `deadline`, checked
-        before each search step; the check does not change the search."""
+    def solve(self) -> Optional[list[bool]]:
+        """A model indexed by variable (slot 0 unused), or None if unsatisfiable."""
         if self.unsat:
             return None
         for lit in self.units:
@@ -232,7 +235,7 @@ class Solver:
         while True:
             conflicts = 0
             while conflicts < conflicts_budget:
-                if deadline is not None and time.monotonic() > deadline:
+                if self.deadline is not None and time.monotonic() > self.deadline:
                     raise TimeoutError("solver deadline passed")
                 conflict = self._propagate()
                 if conflict is not None:

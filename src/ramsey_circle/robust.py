@@ -10,10 +10,9 @@ is restricted to T = {t : no denominator q_i divides 2t}; a denominator of
 the denominators: every step of c_t, and membership in T, depends only on
 t mod q.
 
-`nearly_ramsey_finite_check` solves `satgen.copy_formula` with the bundled
-CDCL solver, as `solve` does, to confirm that every two-colouring of Z_N
-minus one black wildcard vertex has a copy avoiding red or avoiding blue,
-the finite core of the forcing arguments for the nearly-Ramsey triples.
+`nearly_ramsey_finite_check` decides the finite core of the forcing
+arguments for the nearly-Ramsey triples in one search of the bundled CDCL
+solver on `satgen.copy_formula`, the formula `solve` uses.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from .core import Colouring, DistanceTuple
 from .detector import detect_bruteforce
 from .uniform import suitable_ts
 
-#: Largest N the finite check accepts, refused above before any work: a
-#: verified N costs one solve, a counterexample up to N.
+#: Largest N the finite check accepts, refused above before any work: each
+#: N costs one formula of at most 4 N clauses and one search, verified or not.
 MAX_N = 256
 
 
@@ -86,9 +85,11 @@ def nearly_ramsey_finite_check(d: DistanceTuple, N: int) -> FiniteCheckResult:
     loses nothing: rotations act transitively on Z_N.  d must discretise on
     Z_N exactly.  The black vertex matches both colours, so its literal
     leaves every clause of `copy_formula`, and UNSAT verifies.  Otherwise
-    vertices N - 1 down to 1 are fixed blue while the formula stays
-    satisfiable, red when not: the least red mask, the first counterexample
-    an ascending scan of the masks meets.
+    the model M is the least red mask.  Each decision sets false (blue) the
+    highest unassigned variable, so an x true in M was implied after
+    decisions above x only; a model agreeing with M above x meets them, the
+    formula and the learnt clauses (which follow from it), so propagation
+    sets x true in it too, whatever the restarts and backjumps.
     """
     from .dimacs_solver import Solver   # here: importing robust loads no SAT code
     from .satgen import ModelValidationError, copy_formula
@@ -100,13 +101,9 @@ def nearly_ramsey_finite_check(d: DistanceTuple, N: int) -> FiniteCheckResult:
     inst = d.on(N)
     clauses = [[lit for lit in clause if abs(lit) != 1]
                for clause in copy_formula(N, inst.gaps).clauses]
-    model = Solver(N, clauses).solve()
+    model = Solver(N, clauses, order=range(N, 0, -1)).solve()
     if model is None:
         return FiniteCheckResult(True, None, 1 << (N - 1))
-    for var in range(N, 1, -1):   # variable var is vertex var - 1
-        if model[var]:
-            model = Solver(N, clauses + [[-var]]).solve() or model
-        clauses.append([var if model[var] else -var])
     red = sum(1 << v for v in range(1, N) if model[v + 1])
     counterexample = Colouring(n=N, red_mask=red, black=0)
     witness = detect_bruteforce(counterexample, inst)

@@ -276,7 +276,7 @@ def solve_external(f: CnfFormula, solver_command: Union[str, Sequence[str], None
         deadline = None if timeout is None else started + timeout
         try:
             solver = Solver(f.num_vars, f.clauses, deadline)
-            model = solver.solve(deadline)
+            model = solver.solve()
         except TimeoutError:
             return SolverOutcome(status="UNKNOWN", model=None,
                                  solver_time=time.monotonic() - started)

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from _reference import prefix_order, run_sweep_item_in_subprocess, uniform_grid_copy
-from ramsey_circle import beatty, cli
+from ramsey_circle import beatty, cli, robust
 from ramsey_circle.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK,
                                EXIT_REFUTATION, MAX_T, dispatch)
 from ramsey_circle.core import DistanceTuple, power_tuple
+from ramsey_circle.satgen import dimacs_read
 from ramsey_circle.uniform import residue_check, uniform_steps
 
 SWEEP_DIR = Path(__file__).resolve().parent.parent / "sweeps"
@@ -304,6 +305,15 @@ def test_balanced_check(capsys):
     assert code == EXIT_NEGATIVE and body["letter"] == 1
 
 
+@pytest.mark.parametrize("period", ["111111111", "1,2,31333221333112", "0,1", "2,3"])
+def test_balanced_check_refuses_letters_not_contiguous_from_one(capsys, period):
+    # one digit run is one letter: 111111111 must not build a set of 10^8 letters
+    started = time.perf_counter()
+    assert dispatch(["--json", "balanced-check", "--period", period]) == EXIT_ERROR
+    assert time.perf_counter() - started < 1.0
+    assert "letters must be contiguous from 1" in capsys.readouterr().err
+
+
 def test_doubling_from_kt(capsys):
     code, body = run_json(capsys, ["doubling", "--k", "3", "--t", "1"])
     assert code == EXIT_OK
@@ -528,8 +538,23 @@ def fraction_list(draw, q):
 def dispatch_argv(draw, colouring_dir):
     command = draw(st.sampled_from(["suitable", "suitable-search", "witness-search",
                                     "majority", "check", "nearly-ramsey",
-                                    "beatty-check", "balanced-check"]))
+                                    "beatty-check", "balanced-check",
+                                    "uniform-check", "cnf", "solve"]))
     t = str(draw(st.integers(-1, 50)))
+    if command == "uniform-check":
+        max_t = draw(st.one_of(st.integers(-1, 100), st.just(10**6)))
+        return [command, "--k", str(draw(st.integers(-1, 10))), "--max-t", str(max_t)]
+    if command == "cnf":
+        k = draw(st.integers(-1, 6))
+        return [command, "--k", str(k), "--out", str(colouring_dir / f"k{k}.cnf")]
+    if command == "solve":
+        # k = 8 spends seconds generating 2.6 M clauses, which no timeout
+        # bounds, and a search from k = 6 on runs for minutes without one
+        k = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 9]))
+        timeouts = [["--timeout", "0.05"], ["--timeout", "0"]]
+        if k < 6:
+            timeouts.append([])
+        return [command, "--k", str(k), *draw(st.sampled_from(timeouts))]
     if command == "beatty-check":
         # a doubling pair, which partitions, or small alphas that are at times
         # zero or unsorted; half shifts or drawn betas; limits past 10^18
@@ -554,9 +579,9 @@ def dispatch_argv(draw, colouring_dir):
         eps = F(q // draw(st.integers(60, 140)) + draw(st.integers(-1, 1)), q)
         k = draw(st.sampled_from([6, 7, 6, 8, 9, 5, 0]))
         return [command, "--k", str(k), "--eps", str(eps)]
-    # the finite check solves one formula, so n runs past where 2^(n-1)
-    # colourings could be walked
-    n = draw(st.integers(1, 40 if command == "nearly-ramsey" else 14))
+    # the finite check is one search, counterexample or not, so n runs past
+    # robust.MAX_N
+    n = draw(st.integers(1, robust.MAX_N + 4 if command == "nearly-ramsey" else 14))
     # the grid commands fit a tuple over n only if n is a multiple of q
     gaps = draw(fraction_list(draw(st.one_of(st.just(n), denominator))))
     if command == "suitable":
@@ -577,10 +602,12 @@ def colouring_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("colourings")
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_dispatch_random_fractional_inputs(colouring_dir, data):
     argv = data.draw(dispatch_argv(colouring_dir))
+    if argv[0] == "cnf":
+        Path(argv[-1]).unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = dispatch(["--json", *argv])
@@ -590,6 +617,10 @@ def test_dispatch_random_fractional_inputs(colouring_dir, data):
     assert "internal error" not in err.getvalue()
     if code == EXIT_ERROR:
         assert out.getvalue() == ""
+    elif argv[0] == "cnf":
+        assert out.getvalue() == ""
+        k = int(argv[2])
+        assert dimacs_read(Path(argv[-1]).read_text(encoding="utf-8")).num_vars == 2**k - 1
     else:
         body = json.loads(out.getvalue())
         assert body["command"] == argv[0]

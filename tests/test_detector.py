@@ -408,6 +408,20 @@ def test_bruteforce_on_a_large_circle_keeps_no_colouring_sized_table():
     assert peak < 64 * 2**20, peak
 
 
+def test_bruteforce_scan_above_the_word_budget_is_refused():
+    # three gaps on n = 300006: 600012 copies, each shifting a 4688-word
+    # mask, a scan of seconds; refused before it starts
+    n = 300006
+    c = Colouring(n, int("01" * (n // 2), 2))
+    inst = DiscreteInstance(n, (150003, 100002, 50001))
+    started = time.perf_counter()
+    for restriction in (None, [inst.gaps]):
+        with pytest.raises(ValueError, match="above the brute-force scan budget"):
+            detect_bruteforce(c, inst, restriction)
+    assert time.perf_counter() - started < 1.0
+    assert count_copies(c, inst) == (0, 0)   # m k n-bit operations: on the copy budget
+
+
 @pytest.mark.parametrize("gaps", [tuple(range(1, 10)), (1, 2, 3, 4, 5, 6, 7, 8, 100)])
 def test_bruteforce_above_the_budget_is_refused_before_the_plan(gaps):
     # 9 distinct gaps: 362880 orders (about 1.4 s to build) and 362880 n / 9

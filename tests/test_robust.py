@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from _reference import nearly_ramsey_exhaustive
-from ramsey_circle import satgen
+from ramsey_circle import dimacs_solver, satgen
 from ramsey_circle.core import DistanceTuple, power_tuple
 from ramsey_circle.robust import (MAX_N, nearly_ramsey_finite_check,
                                   strongly_suitable_search, t_set_empty)
@@ -177,6 +177,42 @@ def test_finite_check_matches_the_exhaustive_oracle():
         verdicts.add(expected.verified)
     assert verdicts == {True, False}
     assert nearly_ramsey_exhaustive(EQUILATERAL, 30).colourings_checked == 1024
+
+
+def red_runs(*runs):
+    return sum((1 << b) - (1 << a) for a, b in runs)
+
+
+@pytest.mark.parametrize("gaps,n,red", [
+    ((F(2, 5), F(2, 5), F(1, 5)), 250, red_runs((1, 101))),
+    ((F(3, 5), F(1, 5), F(1, 5)), 250, red_runs((1, 51), (101, 151))),
+    ((F(3, 8), F(3, 8), F(1, 4)), 248, red_runs((1, 94))),
+], ids=["two-fifths-250", "three-fifths-250", "three-eighths-248"])
+def test_finite_check_least_counterexamples_at_large_n(gaps, n, red):
+    # beyond the exhaustive oracle: the least red masks the minimising walk
+    # over all 2^(N-1) masks would meet, as found by one solve per vertex
+    result = nearly_ramsey_finite_check(DistanceTuple(gaps), n)
+    assert not result.verified
+    assert result.counterexample.red_mask == red and result.counterexample.black == 0
+    assert result.colourings_checked == red // 2 + 1
+
+
+def test_finite_check_builds_one_solver_and_solves_once(monkeypatch):
+    built, solves = [], []
+
+    class Counting(dimacs_solver.Solver):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+        def solve(self):
+            solves.append(self)
+            return super().solve()
+
+    monkeypatch.setattr(dimacs_solver, "Solver", Counting)
+    result = nearly_ramsey_finite_check(DistanceTuple((F(2, 5), F(2, 5), F(1, 5))), 250)
+    assert not result.verified
+    assert built == [250] and len(solves) == 1
 
 
 def test_finite_check_reports_counterexamples():

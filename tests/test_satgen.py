@@ -177,6 +177,26 @@ def test_bundled_solver_fuzz_against_enumeration():
     assert min(outcomes.values()) >= 100 and wide >= 100, (outcomes, wide)
 
 
+def test_bundled_solver_with_an_order_returns_the_least_model():
+    # each decision sets the first unassigned variable of the order false,
+    # so the first model is the least one read in that order, false first
+    rng = random.Random(19)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        nv = rng.randint(1, 12)
+        clauses = [[v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, nv + 1), rng.randint(1, min(4, nv)))]
+                   for _ in range(rng.randint(1, 4 * nv))]
+        order = rng.sample(range(1, nv + 1), nv)
+        models = [[False] + [bool(bits >> (v - 1) & 1) for v in range(1, nv + 1)]
+                  for bits in range(1 << nv)]
+        models = [m for m in models if all(any(m[abs(l)] == (l > 0) for l in c) for c in clauses)]
+        least = min(models, key=lambda m: [m[v] for v in order], default=None)
+        assert Solver(nv, [list(c) for c in clauses], order=order).solve() == least
+        outcomes[least is not None] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 def _relabel(f, rng):
     """The same formula up to a vertex permutation and a clause order."""
     perm = list(range(1, f.num_vars + 1))
@@ -481,7 +501,7 @@ def test_timeout_bounds_building_the_solver(clock, monkeypatch):
         real_add(self, clause)
 
     monkeypatch.setattr(Solver, "_add_clause", add)
-    monkeypatch.setattr(Solver, "solve", lambda self, deadline=None: pytest.fail("search ran"))
+    monkeypatch.setattr(Solver, "solve", lambda self: pytest.fail("search ran"))
     f = cnf_generate(5)
     out = solve_external(f, timeout=0.3)
     assert out.status == "UNKNOWN" and out.model is None
