@@ -17,8 +17,9 @@ and reports in spec order.  With W workers (``--parallel``, capped at the
 item count and the CPU count, and 1 where ``os.fork`` is missing) worker w
 runs items w, w + W, ...: worker 0 is the calling process and the others
 are forked children.  Items a crashed child left without an exit code read
-2, so a crash is never a verdict.  The parser is built once per process, at
-the first ``dispatch``, and forked children inherit it.
+2, so a crash is never a verdict; an item that runs ``batch`` itself reads 2
+too.  The parser is built once per process, at the first ``dispatch``, and
+forked children inherit it.
 """
 
 from __future__ import annotations
@@ -379,7 +380,7 @@ def _run_sweep_item(argv: list[str], spec_dir: Path) -> int:
                 for arg in argv]
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        return dispatch(resolved)
+        return dispatch(resolved, in_batch=True)
 
 
 def _fan_out(run, items: list, workers: int) -> list[int]:
@@ -572,13 +573,17 @@ _HANDLERS = {
 }
 
 
-def dispatch(argv: Sequence[str]) -> int:
+def dispatch(argv: Sequence[str], *, in_batch: bool = False) -> int:
+    """The exit code of one command line; `in_batch` marks a batch item,
+    whose own `batch` is refused before it reads a spec or forks."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
+        if in_batch and args.command == "batch":
+            raise ValueError("a batch item cannot run batch")
         return _HANDLERS[args.command](args)
     except RefutationError as exc:
         print(f"REFUTATION: {exc}", file=sys.stderr)

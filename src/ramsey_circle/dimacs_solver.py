@@ -16,6 +16,7 @@ solver like any other, and kissat/cadical/minisat can replace it through
 Implements the standard loop: two-watched-literal unit propagation, first
 unique implication point conflict analysis, activity-driven branching with
 phase saving (or a fixed order, for the least model), and geometric restarts.
+Unit clauses go on the trail at level 0 as they are added.
 
 Layout: the two per-literal tables, `val` and `watches`, are lists of
 length 2n + 1 indexed by the signed literal itself.  Python's negative
@@ -59,7 +60,6 @@ class Solver:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.unsat = False
-        self.units: list[int] = []
         self.conflicts = self.decisions = self.propagations = self.restarts = 0
         for i, clause in enumerate(clauses):
             if deadline is not None and not i % 1024 and time.monotonic() > deadline:
@@ -79,7 +79,8 @@ class Solver:
             self.unsat = True
             return
         if len(lits) == 1:
-            self.units.append(lits[0])
+            if not self._enqueue(lits[0], None):   # level 0: a contradicting unit
+                self.unsat = True
             return
         self._watch(lits)
 
@@ -224,12 +225,7 @@ class Solver:
 
     def solve(self) -> Optional[list[bool]]:
         """A model indexed by variable (slot 0 unused), or None if unsatisfiable."""
-        if self.unsat:
-            return None
-        for lit in self.units:
-            if not self._enqueue(lit, None):
-                return None
-        if self._propagate() is not None:
+        if self.unsat or self._propagate() is not None:
             return None
         conflicts_budget = 256
         while True:

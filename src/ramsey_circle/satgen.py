@@ -6,6 +6,9 @@ of the gaps: the positive clauses forbid all-blue copies, the negated ones
 all-red copies.  It is satisfiable iff some two-colouring avoids
 monochromatic copies, so UNSAT verifies unavoidability and a model is a
 counterexample; `cnf_generate(k)` is its doubling tuple on the (2^k - 1)-gon.
+Given a deadline, generation stops before the next start vertex once it has
+passed.  `dimacs_read`, the one DIMACS parser, sends only a token it has not
+read before through int() and the range check.
 
 By default the bundled CDCL solver (`dimacs_solver.Solver`) runs
 in-process on the clauses, with no DIMACS file and no subprocess.  A solver
@@ -91,12 +94,13 @@ class SolverOutcome:
             raise ValueError("model must be present exactly when status is SAT")
 
 
-def copy_formula(n: int, gaps: Sequence[int]) -> CnfFormula:
+def copy_formula(n: int, gaps: Sequence[int], deadline: Optional[float] = None) -> CnfFormula:
     """Both clause families for non-increasing gaps summing to n, positive first.
 
     Copies are enumerated as (start vertex of the largest gap, ordering of
     the remaining gaps, each once), which meets every copy, and each copy
-    of distinct gaps once: 2 n (k-1)! clauses.
+    of distinct gaps once: 2 n (k-1)! clauses.  Raises TimeoutError once
+    `time.monotonic()` passes `deadline`, checked before each start vertex.
     """
     # The offsets from the start vertex of one copy, one getter per ordering
     # of the gaps after the largest; the start-v row of `literal` holds the
@@ -105,15 +109,21 @@ def copy_formula(n: int, gaps: Sequence[int]) -> CnfFormula:
               for rest in dict.fromkeys(itertools.permutations(gaps[1:]))]
     literal = list(range(1, n + 1)) * 2
     negated = [-lit for lit in literal]
-    positive = [copy(row) for row in (literal[v:v + n] for v in range(n)) for copy in copies]
-    negative = [copy(row) for row in (negated[v:v + n] for v in range(n)) for copy in copies]
+    positive: list[tuple[int, ...]] = []
+    negative: list[tuple[int, ...]] = []
+    for v in range(n):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline passed while generating the formula")
+        row, negated_row = literal[v:v + n], negated[v:v + n]
+        positive += [copy(row) for copy in copies]
+        negative += [copy(negated_row) for copy in copies]
     return CnfFormula(num_vars=n, clauses=tuple(positive + negative))
 
 
-def cnf_generate(k: int) -> CnfFormula:
+def cnf_generate(k: int, deadline: Optional[float] = None) -> CnfFormula:
     if not MIN_K <= k <= MAX_K:
         raise ValueError(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
-    return copy_formula(2**k - 1, tuple(2**(k - 1 - i) for i in range(k)))
+    return copy_formula(2**k - 1, tuple(2**(k - 1 - i) for i in range(k)), deadline)
 
 
 def dimacs_write(f: CnfFormula, comments: Sequence[str] = ()) -> str:
@@ -130,23 +140,11 @@ def dimacs_read(text: str) -> CnfFormula:
     promised = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    # Every token already read as 0 or as a literal in range, and its value:
-    # a line made only of such tokens needs no int() and no range check.
-    known = {"0": 0}
+    # Every token already read, as 0 or a literal in range: only a new token
+    # needs int() and the range check.
+    known: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
-        if tokens and not current:
-            # One whole clause on the line: the checks below would pass and
-            # append exactly this tuple.
-            try:
-                lits = list(map(known.__getitem__, tokens))
-            except KeyError:
-                pass
-            else:
-                if lits[-1] == 0 and lits.count(0) == 1 and len(lits) > 1:
-                    lits.pop()
-                    clauses.append(tuple(lits))
-                    continue
         if not tokens or tokens[0].startswith("c"):
             continue
         if tokens[0].startswith("p"):
@@ -165,20 +163,22 @@ def dimacs_read(text: str) -> CnfFormula:
         if num_vars is None:
             raise ParseError("clause before problem line", line=lineno)
         for tok in tokens:
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"invalid literal {tok!r}", line=lineno) from None
-            if lit == 0:
-                if not current:
-                    raise ParseError("empty clause", line=lineno)
+            lit = known.get(tok)
+            if lit is None:
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    raise ParseError(f"invalid literal {tok!r}", line=lineno) from None
+                if abs(lit) > num_vars:
+                    raise ParseError(f"literal {lit} exceeds {num_vars} variables", line=lineno)
+                known[tok] = lit
+            if lit:
+                current.append(lit)
+            elif current:
                 clauses.append(tuple(current))
                 current = []
-            elif abs(lit) > num_vars:
-                raise ParseError(f"literal {lit} exceeds {num_vars} variables", line=lineno)
             else:
-                current.append(lit)
-                known[tok] = lit
+                raise ParseError("empty clause", line=lineno)
     if current:
         raise ParseError("unterminated clause at end of file")
     if num_vars is None:
@@ -318,9 +318,13 @@ def verify_unavoidable(k: int, solver_command: Union[str, Sequence[str], None] =
     (not the mathematics) is broken.
     """
     started = time.monotonic()
-    f = cnf_generate(k)
-    if timeout is not None:   # generating the formula counts against it
-        timeout -= time.monotonic() - started
+    deadline = None if timeout is None else started + timeout
+    try:
+        f = cnf_generate(k, deadline)
+    except TimeoutError:
+        return SolverOutcome(status="UNKNOWN", model=None, solver_time=time.monotonic() - started)
+    if deadline is not None:   # generating the formula counts against the timeout
+        timeout = deadline - time.monotonic()
     outcome = solve_external(f, solver_command, timeout)
     if outcome.status == "SAT":
         witness = detect_bruteforce(outcome.model, discretize(power_tuple(k)))

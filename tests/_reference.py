@@ -14,10 +14,11 @@ import ramsey_circle
 from ramsey_circle.beatty import (BalanceVerdict, BeattyPair, FraenkelReport,
                                   PartitionError, PartitionVerdict)
 from ramsey_circle.core import (Colouring, DiscreteInstance, DistanceTuple,
-                                power_tuple)
+                                ParseError, power_tuple)
 from ramsey_circle.detector import find_copy_in_class
 from ramsey_circle.doubling import DoublingBoundaryError, DoublingOrbit
 from ramsey_circle.robust import FiniteCheckResult
+from ramsey_circle.satgen import CnfFormula
 
 
 def uniform_colouring(t: int, grid: int) -> Colouring:
@@ -320,3 +321,52 @@ def beatty_term(alpha: Fraction, beta: Fraction, n: int) -> int:
     """floor(alpha * n + beta), computed in integer arithmetic."""
     num = alpha.numerator * beta.denominator * n + beta.numerator * alpha.denominator
     return num // (alpha.denominator * beta.denominator)
+
+
+def dimacs_plain(text: str) -> CnfFormula:
+    """The DIMACS reader with int() and the range check on every token, and
+    the same checks, messages and line numbers as `satgen.dimacs_read`."""
+    num_vars = None
+    promised = None
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("p"):
+            if num_vars is not None:
+                raise ParseError("duplicate problem line", line=lineno)
+            parts = stripped.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ParseError(f"malformed problem line {stripped!r}", line=lineno)
+            try:
+                num_vars, promised = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(f"malformed problem line {stripped!r}", line=lineno) from None
+            if num_vars < 0 or promised < 0:
+                raise ParseError(f"negative count in problem line {stripped!r}", line=lineno)
+            continue
+        if num_vars is None:
+            raise ParseError("clause before problem line", line=lineno)
+        for tok in stripped.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ParseError(f"invalid literal {tok!r}", line=lineno) from None
+            if lit == 0:
+                if not current:
+                    raise ParseError("empty clause", line=lineno)
+                clauses.append(tuple(current))
+                current = []
+            elif abs(lit) > num_vars:
+                raise ParseError(f"literal {lit} exceeds {num_vars} variables", line=lineno)
+            else:
+                current.append(lit)
+    if current:
+        raise ParseError("unterminated clause at end of file")
+    if num_vars is None:
+        raise ParseError("missing problem line")
+    if promised != len(clauses):
+        raise ParseError(f"header promises {promised} clauses, found {len(clauses)}")
+    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))

@@ -548,9 +548,9 @@ def dispatch_argv(draw, colouring_dir):
         k = draw(st.integers(-1, 6))
         return [command, "--k", str(k), "--out", str(colouring_dir / f"k{k}.cnf")]
     if command == "solve":
-        # k = 8 spends seconds generating 2.6 M clauses, which no timeout
-        # bounds, and a search from k = 6 on runs for minutes without one
-        k = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 9]))
+        # from k = 6 on a search runs for minutes without a timeout, and
+        # k = 8 would first spend seconds generating 2.6 M clauses
+        k = draw(st.integers(0, 9))
         timeouts = [["--timeout", "0.05"], ["--timeout", "0"]]
         if k < 6:
             timeouts.append([])
@@ -665,6 +665,15 @@ def test_solve_in_process_timeout_is_unknown_exit(capsys, monkeypatch):
     code, body = run_json(capsys, ["solve", "--k", "6", "--timeout", "0.3"])
     assert code == 4
     assert body["status"] == "UNKNOWN" and body["model"] is None
+
+
+def test_solve_timeout_bounds_generating_the_formula(capsys, monkeypatch):
+    # k = 8 takes about 2 s and 350 MB to generate 2.6 M clauses in full
+    monkeypatch.delenv("RAMSEY_SAT_SOLVER", raising=False)
+    started = time.monotonic()
+    code, body = run_json(capsys, ["solve", "--k", "8", "--timeout", "0.1"])
+    assert time.monotonic() - started < 1
+    assert code == 4 and body["status"] == "UNKNOWN"
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "-inf", "soon"])
@@ -824,6 +833,22 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return calls
+
+
+def test_a_batch_item_running_batch_reads_2(tmp_path, capsys, forks):
+    # the spec names itself: run as an item, its batch would read it again,
+    # one level deeper each time (and with --parallel, fork at every level)
+    spec = write_spec(tmp_path, ["2 batch @/spec.sweep",
+                                 "0 --json balanced-check --period a,b,a,c,a,b,a"])
+    started = time.monotonic()
+    code, body = run_json(capsys, ["batch", str(spec)])
+    assert time.monotonic() - started < 1
+    assert code == EXIT_OK and forks == []
+    assert [item["actual"] for item in body["items"]] == [2, 0]
+    # what such an item prints, which the batch discards
+    assert dispatch(["batch", str(spec)], in_batch=True) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: a batch item cannot run batch\n"
 
 
 def test_batch_pool_capped_at_items_and_cpus(tmp_path, forks, monkeypatch):

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from _reference import dimacs_plain
 
 import ramsey_circle
 from ramsey_circle import satgen
@@ -126,6 +127,96 @@ def test_dimacs_read_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         dimacs_read("c x\np cnf -1 0\n")
     assert exc.value.line == 2
+
+
+_DIMACS_FAULTS = ("empty", "range", "invalid", "unterminated", "count", "malformed",
+                  "negative", "before", "missing", "duplicate")
+
+
+def random_dimacs_text(rng):
+    """A small DIMACS text, well formed or with one or two faults: comments
+    anywhere, clauses split over lines or several on one, literals spelled
+    as +3, 03 or 1_0, terminators as 0, -0 or 00, and CRLF line ends."""
+    nv = rng.randint(1, 12)
+    clauses = [[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), rng.randint(1, min(3, nv)))]
+               for _ in range(rng.randint(0, 6))]
+    faults = rng.sample(_DIMACS_FAULTS, rng.choice((0, 1, 1, 1, 2)))
+
+    def spell(lit):
+        digits = str(abs(lit))
+        sign = "-" if lit < 0 else rng.choice(("", "", "+"))
+        form = rng.random()
+        if form < 0.1:
+            digits = "0" + digits
+        elif form < 0.2 and len(digits) > 1:
+            digits = digits[0] + "_" + digits[1:]
+        return sign + digits
+
+    def zero():
+        return rng.choice(("0", "0", "0", "-0", "00", "+0"))
+
+    tokens = [tok for clause in clauses for tok in [*map(spell, clause), zero()]]
+    if "empty" in faults:
+        ends = [0] + [i + 1 for i, tok in enumerate(tokens) if tok in ("0", "-0", "00", "+0")]
+        tokens.insert(rng.choice(ends), zero())
+    if "range" in faults and tokens:
+        lit = rng.choice((1, -1)) * (nv + rng.randint(1, 3))
+        tokens.insert(rng.randrange(len(tokens)), spell(lit))
+    if "invalid" in faults and tokens:
+        tokens[rng.randrange(len(tokens))] = rng.choice(("2.0", "x", "1-", "--1", "0x1", "1e2"))
+    if "unterminated" in faults:
+        tokens.append(spell(rng.randint(1, nv)))
+    lines = []
+    while tokens:
+        size = rng.randint(1, 6)
+        sep = rng.choice((" ", " ", "\t", "  "))
+        lines.append(rng.choice(("", "", " ")) + sep.join(tokens[:size]) + rng.choice(("", " ")))
+        del tokens[:size]
+    for _ in range(rng.randint(0, 3)):
+        comment = rng.choice(("c", "c comment", " c 1 2 0", "cnf 1 2", "c p cnf 1 1", "", "  "))
+        lines.insert(rng.randint(0, len(lines)), comment)
+    count = len(clauses) + (rng.choice((-1, 1, 2)) if "count" in faults else 0)
+    header = f"p cnf {nv} {count}"
+    if "malformed" in faults:
+        header = rng.choice(("p cnf", f"p cnf {nv}", f"p dnf {nv} {count}", f"p cnf {nv} {count} 0",
+                             f"p cnf x {count}", f"p cnf {nv} 2.0", f"pcnf {nv} {count}"))
+    if "negative" in faults:
+        header = rng.choice((f"p cnf -{nv} {count}", f"p cnf {nv} -1"))
+    # the header goes among the comments before the first clause line, or
+    # just after that line
+    first = next((i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "c")),
+                 len(lines))
+    at = min(first + 1, len(lines)) if "before" in faults else rng.randint(0, first)
+    if "missing" not in faults:
+        lines.insert(at, header)
+    if "duplicate" in faults:
+        lines.insert(rng.randint(min(at + 1, len(lines)), len(lines)), header)
+    eol = rng.choice(("\n", "\n", "\r\n"))
+    return eol.join(lines) + rng.choice((eol, ""))
+
+
+def _read_outcome(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def test_dimacs_read_matches_the_plain_reader_on_seeded_texts():
+    # the table of known tokens skips int() and the range check for a token
+    # already read; every outcome, line number included, must be the plain
+    # per-token reader's
+    rng = random.Random(2024)
+    kinds = dict.fromkeys(("ok", "empty clause", "clause before problem line", "exceeds",
+                           "malformed problem line", "header promises"), 0)
+    for _ in range(6000):
+        text = random_dimacs_text(rng)
+        outcome = _read_outcome(dimacs_read, text)
+        assert outcome == _read_outcome(dimacs_plain, text), text
+        message = "ok" if isinstance(outcome, CnfFormula) else outcome[1]
+        for kind in kinds:
+            kinds[kind] += kind in message
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_sign_convention_documented_example():
@@ -508,10 +599,28 @@ def test_timeout_bounds_building_the_solver(clock, monkeypatch):
     assert len(added) == 1024 < f.num_clauses
 
 
+def test_timeout_bounds_generating_the_formula(clock, monkeypatch):
+    # every clock read moves the fake clock by 1 s, so the 5 s deadline
+    # passes during generation; a start vertex's rows follow one read each
+    reads = []
+
+    def tick():
+        reads.append(clock.now)
+        clock.now += 1.0
+        return clock.now
+
+    monkeypatch.setattr(clock, "monotonic", tick)
+    monkeypatch.setattr(Solver, "__init__", lambda self, *args, **kwargs: pytest.fail("solver built"))
+    out = verify_unavoidable(5, timeout=5.0)
+    assert out.status == "UNKNOWN" and out.model is None
+    assert len(reads) < 2**5 - 1
+
+
 def test_timeout_counts_generating_the_formula(clock, monkeypatch):
+    # generation that ends after the deadline, with no check left to see it
     real_generate = satgen.cnf_generate
 
-    def slow_generate(k):
+    def slow_generate(k, deadline):
         clock.now += 10.0
         return real_generate(k)
 
