@@ -262,14 +262,6 @@ class Colouring:
             base |= 1 << self.black
         return base
 
-    def rotated(self, r: int) -> "Colouring":
-        """Rotate counterclockwise: new vertex v has the colour of v - r."""
-        black = None if self.black is None else (self.black + r) % self.n
-        return Colouring(n=self.n, red_mask=rotate_mask(self.red_mask, r, self.n), black=black)
-
-    def swapped(self) -> "Colouring":
-        return Colouring(n=self.n, red_mask=self.blue_mask, black=self.black)
-
 
 def parse_colouring(text: str) -> Colouring:
     """Parse the colouring file format.

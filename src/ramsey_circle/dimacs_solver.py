@@ -13,19 +13,22 @@ runs `Solver` in-process by default; this command line serves as an external
 solver like any other, and kissat/cadical/minisat can replace it through
 `--solver` or RAMSEY_SAT_SOLVER for speed.
 
-Implements the standard loop: two-watched-literal unit propagation, first
-unique implication point conflict analysis, activity-driven branching with
-phase saving (or a fixed order, for the least model), and geometric restarts.
+Implements the standard loop: bit-parallel unit propagation, first unique
+implication point conflict analysis, activity-driven branching with phase
+saving (or a fixed order, for the least model), and geometric restarts.
 Unit clauses go on the trail at level 0 as they are added.
 
-Layout: the two per-literal tables, `val` and `watches`, are lists of
-length 2n + 1 indexed by the signed literal itself.  Python's negative
-indexing sends -v to slot 2n + 1 - v, so v and -v never share a slot and
-slot 0 is unused; the hot loop reads `val[lit]` and `watches[lit]` with no
-abs() and no branch on the sign.  `val[lit]` is +1 when lit is true, -1 when
-it is false and 0 when unassigned, and every assignment writes both
-`val[v]` and `val[-v]`.  The per-variable tables (level, reason, phase,
-activity) are indexed by v in 1..n.
+Layout: bit c of an integer stands for clause c.  `occ[lit]` marks the
+clauses holding lit, `sat` those with a propagated true literal, and plane j
+of `planes` holds bit j of every clause's count of literals no propagated
+literal made false.  Propagating a literal ORs its mask into `sat`, takes
+one off the counts of the unsatisfied clauses holding its negation, a borrow
+rippling through the planes, and reads off the planes the clauses whose
+count fell to 1 (units) or 0 (conflicts).  A satisfied clause's count goes
+stale unread: a decision saves the planes and `sat`, a backjump restores
+them, and a learnt clause writes its count into the saved levels below its
+backjump level.  `val` (1 true, -1 false, 0 unassigned) and `occ` are
+indexed by the signed literal, -v at slot 2n + 1 - v.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class Solver:
         self.deadline = deadline
         self.order = order
         self.val = [0] * (2 * num_vars + 1)
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
+        self.clauses: list[list[int]] = []
         self.level = [0] * (num_vars + 1)
         self.reason: list[Optional[list[int]]] = [None] * (num_vars + 1)
         self.phase = [False] * (num_vars + 1)
@@ -58,6 +61,7 @@ class Solver:
         self.var_inc = 1.0
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
+        self.saved: list[tuple[list[int], int]] = []   # (planes, sat) per level
         self.qhead = 0
         self.unsat = False
         self.conflicts = self.decisions = self.propagations = self.restarts = 0
@@ -65,6 +69,25 @@ class Solver:
             if deadline is not None and not i % 1024 and time.monotonic() > deadline:
                 raise TimeoutError("solver deadline passed while adding clauses")
             self._add_clause(clause)
+        # One pass per mask: OR-ing in one clause at a time would be quadratic.
+        size = len(self.clauses)
+        holders: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
+        for c, clause in enumerate(self.clauses):
+            for lit in clause:
+                holders[lit].append(c)
+        self.occ = []
+        self.planes = [0] * max(1, num_vars.bit_length())
+        self.sat = 0
+        for positions in holders:
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("solver deadline passed while building clause masks")
+            digits = bytearray(b"0") * (size + 1)
+            for c in positions:
+                digits[c] = 49   # "1"
+            carry = int(digits[::-1], 2)
+            self.occ.append(carry)
+            for j, plane in enumerate(self.planes):   # a clause's count starts at its length
+                self.planes[j], carry = plane ^ carry, plane & carry
 
     def _add_clause(self, lits: Sequence[int]) -> None:
         seen = dict.fromkeys(lits)
@@ -75,18 +98,10 @@ class Solver:
                              f"{self.nv} variables")
         if any(-lit in seen for lit in lits):
             return  # tautology
-        if not lits:
+        if len(lits) > 1:
+            self.clauses.append(lits)
+        elif not lits or not self._enqueue(lits[0], None):   # empty, or a contradicting unit
             self.unsat = True
-            return
-        if len(lits) == 1:
-            if not self._enqueue(lits[0], None):   # level 0: a contradicting unit
-                self.unsat = True
-            return
-        self._watch(lits)
-
-    def _watch(self, clause: list[int]) -> None:
-        self.watches[clause[0]].append(clause)
-        self.watches[clause[1]].append(clause)
 
     def _enqueue(self, lit: int, reason: Optional[list[int]]) -> bool:
         v = self.val[lit]
@@ -102,52 +117,43 @@ class Solver:
 
     def _propagate(self) -> Optional[list[int]]:
         val = self.val
-        watches = self.watches
+        occ = self.occ
+        planes = self.planes
+        clauses = self.clauses
         trail = self.trail
-        level = self.level
-        reason = self.reason
-        cur_level = len(self.trail_lim)
+        sat = self.sat
         qhead = start = self.qhead
         conflict = None
         while qhead < len(trail) and conflict is None:
-            false_lit = -trail[qhead]
+            lit = trail[qhead]
             qhead += 1
-            watchers = watches[false_lit]
-            i = 0
-            end = len(watchers)
-            while i < end:
-                clause = watchers[i]
-                first = clause[0]
-                if first == false_lit:
-                    first = clause[0] = clause[1]
-                    clause[1] = false_lit
-                if val[first] == 1:
-                    i += 1
-                    continue
-                for j in range(2, len(clause)):
-                    lit = clause[j]
-                    if val[lit] != -1:
-                        clause[1] = lit
-                        clause[j] = false_lit
-                        watches[lit].append(clause)
-                        end -= 1
-                        watchers[i] = watchers[end]  # the tail is cut below
+            sat |= occ[lit]
+            touched = borrow = occ[-lit] & ~sat
+            j = 0
+            while borrow:   # one less on each touched count
+                planes[j] = plane = planes[j] ^ borrow
+                borrow &= plane
+                j += 1
+            low = touched   # those whose count is now 0 or 1
+            for plane in planes[1:]:
+                low &= ~plane
+            while low:
+                bit = low & -low
+                low ^= bit
+                clause = clauses[bit.bit_length() - 1]
+                # the one literal no propagated literal made false, if any
+                for first in clause:
+                    if val[first] != -1:
                         break
                 else:
-                    if val[first]:
-                        conflict = clause  # every literal is false
-                        self.conflicts += 1
-                        break
-                    val[first] = 1
-                    val[-first] = -1
-                    var = first if first > 0 else -first
-                    level[var] = cur_level
-                    reason[var] = clause
-                    trail.append(first)
-                    i += 1
-            del watchers[end:]
+                    conflict = clause
+                    break
+                self._enqueue(first, clause)   # a no-op if first is already true
+        if conflict is not None:
+            self.conflicts += 1
         self.propagations += qhead - start
         self.qhead = qhead
+        self.sat = sat
         return conflict
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
@@ -160,15 +166,13 @@ class Solver:
         learnt = [0]  # placeholder for the asserting literal
         seen = [False] * (self.nv + 1)
         counter = 0
-        p = None
+        implied = 0   # the literal a reason clause asserts; the conflict has none
         reason = conflict
         idx = len(trail) - 1
         while True:
-            # A reason clause has its asserted literal at position 0; the
-            # conflict clause (first round) is walked in full.
-            for lit in (reason if p is None else reason[1:]):
+            for lit in reason:
                 var = lit if lit > 0 else -lit
-                if not seen[var] and level[var] > 0:
+                if not seen[var] and level[var] > 0 and lit != implied:
                     seen[var] = True
                     activity[var] += var_inc
                     if activity[var] > 1e100:
@@ -181,45 +185,50 @@ class Solver:
                         learnt.append(lit)
             while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = -trail[idx]
+            implied = trail[idx]
             idx -= 1
-            seen[abs(p)] = False
+            seen[abs(implied)] = False
             counter -= 1
             if counter == 0:
                 break
-            reason = self.reason[abs(p)]
+            reason = self.reason[abs(implied)]
         self.var_inc = var_inc
-        learnt[0] = p
-        if len(learnt) == 1:
-            return learnt, 0
-        # Watch a maximum-level tail literal: it unassigns no later than the
-        # asserting literal, keeping the two-watch invariant after backjumps.
-        hi = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
-        learnt[1], learnt[hi] = learnt[hi], learnt[1]
-        return learnt, level[abs(learnt[1])]
+        learnt[0] = -implied
+        return learnt, max((level[abs(lit)] for lit in learnt[1:]), default=0)
+
+    def _learn(self, clause: list[int]) -> None:
+        """Add a clause asserting clause[0], counted in the saved levels below the backjump."""
+        bit = 1 << len(self.clauses)
+        self.clauses.append(clause)
+        for lit in clause:
+            self.occ[lit] |= bit
+        levels = [self.level[abs(lit)] for lit in clause[1:]]
+        count = len(clause)
+        for j, (planes, _) in enumerate(self.saved):
+            count -= levels.count(j)
+            for i in range(count.bit_length()):
+                if count >> i & 1:
+                    planes[i] |= bit
 
     def _backjump(self, level: int) -> None:
         if len(self.trail_lim) > level:
             limit = self.trail_lim[level]
             del self.trail_lim[level:]
+            self.planes, self.sat = self.saved[level]
+            del self.saved[level:]
             for lit in self.trail[limit:]:
                 self.val[lit] = self.val[-lit] = 0
                 self.phase[abs(lit)] = lit > 0
             del self.trail[limit:]
-            self.qhead = min(self.qhead, limit)
+            self.qhead = limit
 
     def _decide(self) -> Optional[int]:
         val = self.val
         if self.order is not None:
             return next((-var for var in self.order if not val[var]), None)
-        activity = self.activity
-        best = 0
-        best_act = -1.0
-        for var in range(1, self.nv + 1):
-            if not val[var] and activity[var] > best_act:
-                best = var
-                best_act = activity[var]
-        if best == 0:
+        best = max((var for var in range(1, self.nv + 1) if not val[var]),
+                   key=self.activity.__getitem__, default=0)
+        if not best:
             return None
         return best if self.phase[best] else -best
 
@@ -240,12 +249,9 @@ class Solver:
                         return None
                     learnt, back = self._analyze(conflict)
                     self._backjump(back)
-                    if len(learnt) == 1:
-                        if not self._enqueue(learnt[0], None):
-                            return None
-                    else:
-                        self._watch(learnt)
-                        self._enqueue(learnt[0], learnt)
+                    if len(learnt) > 1:
+                        self._learn(learnt)
+                    self._enqueue(learnt[0], learnt)   # unassigned by the backjump
                     self.var_inc /= 0.95
                     continue
                 decision = self._decide()
@@ -253,6 +259,7 @@ class Solver:
                     return [self.val[v] > 0 for v in range(self.nv + 1)]
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))
+                self.saved.append((self.planes[:], self.sat))
                 self._enqueue(decision, None)
             # Restart: keep learned clauses and phases, drop the trail.
             self._backjump(0)
@@ -277,21 +284,17 @@ def main(argv: list[str]) -> int:
     solver = Solver(f.num_vars, f.clauses)
     model = solver.solve()
     print("c ramsey-circle reference CDCL solver")
-    print(f"c conflicts {solver.conflicts}")
-    print(f"c decisions {solver.decisions}")
-    print(f"c propagations {solver.propagations}")
-    print(f"c restarts {solver.restarts}")
+    for name in ("conflicts", "decisions", "propagations", "restarts"):
+        print(f"c {name} {getattr(solver, name)}")
     if model is None:
         print("s UNSATISFIABLE")
         return 20
     print("s SATISFIABLE")
     lits = [v if model[v] else -v for v in range(1, f.num_vars + 1)]
-    for i in range(0, len(lits), 20):
-        chunk = lits[i:i + 20]
-        tail = " 0" if i + 20 >= len(lits) else ""
-        print("v " + " ".join(map(str, chunk)) + tail)
-    if not lits:
-        print("v 0")
+    rows = [lits[i:i + 20] for i in range(0, len(lits), 20)] or [[]]
+    rows[-1].append(0)
+    for row in rows:
+        print("v", *row)
     return 10
 
 

@@ -6,9 +6,9 @@ of the gaps: the positive clauses forbid all-blue copies, the negated ones
 all-red copies.  It is satisfiable iff some two-colouring avoids
 monochromatic copies, so UNSAT verifies unavoidability and a model is a
 counterexample; `cnf_generate(k)` is its doubling tuple on the (2^k - 1)-gon.
-Given a deadline, generation stops before the next start vertex once it has
-passed.  `dimacs_read`, the one DIMACS parser, sends only a token it has not
-read before through int() and the range check.
+Given a deadline, generation stops before the next start vertex or the
+formula object once it has passed.  `dimacs_read`, the one DIMACS parser,
+sends only a token it has not read before through int() and the range check.
 
 By default the bundled CDCL solver (`dimacs_solver.Solver`) runs
 in-process on the clauses, with no DIMACS file and no subprocess.  A solver
@@ -100,7 +100,8 @@ def copy_formula(n: int, gaps: Sequence[int], deadline: Optional[float] = None) 
     Copies are enumerated as (start vertex of the largest gap, ordering of
     the remaining gaps, each once), which meets every copy, and each copy
     of distinct gaps once: 2 n (k-1)! clauses.  Raises TimeoutError once
-    `time.monotonic()` passes `deadline`, checked before each start vertex.
+    `time.monotonic()` passes `deadline`, checked before each start vertex
+    and once after the last.
     """
     # The offsets from the start vertex of one copy, one getter per ordering
     # of the gaps after the largest; the start-v row of `literal` holds the
@@ -117,7 +118,11 @@ def copy_formula(n: int, gaps: Sequence[int], deadline: Optional[float] = None) 
         row, negated_row = literal[v:v + n], negated[v:v + n]
         positive += [copy(row) for copy in copies]
         negative += [copy(negated_row) for copy in copies]
-    return CnfFormula(num_vars=n, clauses=tuple(positive + negative))
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("deadline passed while generating the formula")
+    f = CnfFormula.__new__(CnfFormula)   # in range by construction: no __post_init__ pass
+    f.__dict__.update(num_vars=n, clauses=tuple(positive + negative))
+    return f
 
 
 def cnf_generate(k: int, deadline: Optional[float] = None) -> CnfFormula:

@@ -14,11 +14,21 @@ import ramsey_circle
 from ramsey_circle.beatty import (BalanceVerdict, BeattyPair, FraenkelReport,
                                   PartitionError, PartitionVerdict)
 from ramsey_circle.core import (Colouring, DiscreteInstance, DistanceTuple,
-                                ParseError, power_tuple)
+                                ParseError, power_tuple, rotate_mask)
 from ramsey_circle.detector import find_copy_in_class
 from ramsey_circle.doubling import DoublingBoundaryError, DoublingOrbit
 from ramsey_circle.robust import FiniteCheckResult
 from ramsey_circle.satgen import CnfFormula
+
+
+def rotated(c: Colouring, r: int) -> Colouring:
+    """Rotate counterclockwise: new vertex v has the colour of v - r."""
+    black = None if c.black is None else (c.black + r) % c.n
+    return Colouring(n=c.n, red_mask=rotate_mask(c.red_mask, r, c.n), black=black)
+
+
+def swapped(c: Colouring) -> Colouring:
+    return Colouring(n=c.n, red_mask=c.blue_mask, black=c.black)
 
 
 def uniform_colouring(t: int, grid: int) -> Colouring:
@@ -370,3 +380,28 @@ def dimacs_plain(text: str) -> CnfFormula:
     if promised != len(clauses):
         raise ParseError(f"header promises {promised} clauses, found {len(clauses)}")
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+
+
+def dpll_sat(clauses: Sequence[Sequence[int]], true: frozenset = frozenset()) -> bool:
+    """Plain recursive DPLL: simplify by the literals in `true`, propagate
+    units, then split on the first literal of a shortest open clause."""
+    while True:
+        open_clauses = []
+        unit = None
+        for clause in clauses:
+            if any(lit in true for lit in clause):
+                continue
+            rest = [lit for lit in clause if -lit not in true]
+            if not rest:
+                return False
+            if len(rest) == 1:
+                unit = rest[0]
+            open_clauses.append(rest)
+        if unit is None:
+            break
+        true = true | {unit}
+        clauses = open_clauses
+    if not open_clauses:
+        return True
+    lit = min(open_clauses, key=len)[0]
+    return dpll_sat(open_clauses, true | {lit}) or dpll_sat(open_clauses, true | {-lit})

@@ -42,10 +42,12 @@ def test_criterion_01_sat_verification():
         assert outcome.status == "UNSAT", f"k={k} expected UNSAT, got {outcome.status}"
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"solving k=3..5 took {elapsed:.1f}s, budget 60s"
+    k5 = (f"k=5 in {outcome.conflicts} conflicts, "
+          f"{outcome.conflicts / outcome.solver_time:.0f} per second")
     if os.environ.get("RAMSEY_ACCEPT_K6_SAT") == "1":
         outcome = verify_unavoidable(6, timeout=3600)
         assert outcome.status == "UNSAT"
-    report(1, f"bundled solver: UNSAT for k=3,4,5 in {elapsed:.1f}s")
+    report(1, f"bundled solver: UNSAT for k=3,4,5 in {elapsed:.1f}s; {k5}")
 
 
 def test_criterion_02_oracle_equivalence():

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from _reference import dimacs_plain
+from _reference import dimacs_plain, dpll_sat
 
 import ramsey_circle
 from ramsey_circle import satgen
@@ -288,6 +288,53 @@ def test_bundled_solver_with_an_order_returns_the_least_model():
     assert min(outcomes.values()) >= 100, outcomes
 
 
+class _JumpProbe(Solver):
+    """Counts the backjumps that skip a level and land above level 0, whose
+    learnt clause has a count to write into each saved level, and checks the
+    bit-sliced counts before every decision."""
+
+    def __init__(self, num_vars, clauses):
+        self.deep = 0
+        super().__init__(num_vars, clauses)
+
+    def _analyze(self, conflict):
+        learnt, back = super()._analyze(conflict)
+        self.deep += back > 0 and len(self.trail_lim) - back > 1
+        return learnt, back
+
+    def _decide(self):
+        # every literal on the trail is propagated: a clause is marked
+        # satisfied iff it has a true literal, and otherwise its count is
+        # the number of its literals that are not false
+        for c, clause in enumerate(self.clauses):
+            satisfied = any(self.val[lit] == 1 for lit in clause)
+            assert (self.sat >> c & 1) == satisfied
+            if not satisfied:
+                count = sum((plane >> c & 1) << j for j, plane in enumerate(self.planes))
+                assert count == sum(self.val[lit] != -1 for lit in clause)
+        return super()._decide()
+
+
+def test_deep_searches_agree_with_dpll():
+    # random 3-SAT near clause ratio 4.26, where verdicts split and the
+    # search backjumps over several levels
+    rng = random.Random(426)
+    outcomes = {True: 0, False: 0}
+    deep = 0
+    for _ in range(60):
+        nv = rng.randint(20, 40)
+        clauses = [[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), 3)]
+                   for _ in range(round(4.26 * nv))]
+        solver = _JumpProbe(nv, clauses)
+        model = solver.solve()
+        assert (model is not None) == dpll_sat(clauses)
+        if model is not None:
+            assert all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+        outcomes[model is not None] += 1
+        deep += solver.deep > 0
+    assert min(outcomes.values()) >= 15 and deep >= 10, (outcomes, deep)
+
+
 def _relabel(f, rng):
     """The same formula up to a vertex permutation and a clause order."""
     perm = list(range(1, f.num_vars + 1))
@@ -363,33 +410,38 @@ class _RestartProbe(Solver):
 
 
 def test_restart_keeps_learnt_unit_for_propagation():
-    # random 3-SAT at clause ratio 4.26; formula #173 learns a unit on the
+    # random 3-SAT at clause ratio 4.26; formula #175 learns a unit on the
     # last conflict of a restart budget, so the restart meets it unpropagated
     rng = random.Random(5)
-    for _ in range(174):
+    for _ in range(176):
         nv = rng.randint(90, 140)
         clauses = [[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), 3)]
                    for _ in range(int(4.26 * nv))]
     solver = _RestartProbe(nv, clauses)
     solver.solve()
-    assert (nv, solver.pending_restarts, solver.skipped) == (136, 1, 0)
+    assert (nv, solver.pending_restarts, solver.skipped) == (114, 1, 0)
+
+
+# The search of the bundled solver on the k = 4 formula as (conflicts,
+# decisions, propagations, restarts); a change to these counts is a change
+# to the search, not only to its speed.
+K4_COUNTERS = (53, 56, 264, 0)
 
 
 def test_bundled_solver_counters_on_k4(tmp_path):
-    # the search of the bundled solver on the k = 4 formula; a change to
-    # these counts is a change to the search, not only to its speed
     f = cnf_generate(4)
     solver = Solver(f.num_vars, f.clauses)
     assert solver.solve() is None
-    assert (solver.conflicts, solver.decisions, solver.propagations, solver.restarts) == (
-        56, 57, 284, 0)
+    assert (solver.conflicts, solver.decisions, solver.propagations,
+            solver.restarts) == K4_COUNTERS
     path = tmp_path / "k4.cnf"
     path.write_text(dimacs_write(f), encoding="utf-8")
     proc = run_bundled_solver(path)
     assert proc.returncode == 20
     assert proc.stdout.splitlines()[1:] == [
-        "c conflicts 56", "c decisions 57", "c propagations 284", "c restarts 0",
-        "s UNSATISFIABLE"]
+        f"c {name} {count}" for name, count in
+        zip(("conflicts", "decisions", "propagations", "restarts"), K4_COUNTERS)
+    ] + ["s UNSATISFIABLE"]
 
 
 def counters(out):
@@ -402,7 +454,7 @@ def test_both_solver_routes_report_the_k4_counters(monkeypatch):
     for command in (None, BUNDLED_COMMAND):
         out = solve_external(f, solver_command=command)
         assert out.status == "UNSAT"
-        assert counters(out) == (56, 57, 284, 0)
+        assert counters(out) == K4_COUNTERS
 
 
 def test_default_route_writes_no_dimacs_and_starts_no_process(monkeypatch):
@@ -550,7 +602,7 @@ def test_timeout_returns_unknown(tmp_path):
 
 
 def test_in_process_timeout_returns_unknown(monkeypatch):
-    # k = 6 takes the bundled solver about 15 minutes
+    # k = 6 takes the bundled solver a few minutes
     monkeypatch.delenv("RAMSEY_SAT_SOLVER", raising=False)
     started = time.monotonic()
     out = verify_unavoidable(6, timeout=0.3)
@@ -599,6 +651,21 @@ def test_timeout_bounds_building_the_solver(clock, monkeypatch):
     assert len(added) == 1024 < f.num_clauses
 
 
+def test_timeout_bounds_building_the_clause_masks(clock, monkeypatch):
+    # 28 clauses, checked before the first only: the deadline passes while
+    # they are added, and the masks see it before the first one is built
+    real_add = Solver._add_clause
+
+    def add(self, clause):
+        clock.now += 1.0
+        real_add(self, clause)
+
+    monkeypatch.setattr(Solver, "_add_clause", add)
+    f = cnf_generate(3)
+    with pytest.raises(TimeoutError, match="clause masks"):
+        Solver(f.num_vars, f.clauses, deadline=5.0)
+
+
 def test_timeout_bounds_generating_the_formula(clock, monkeypatch):
     # every clock read moves the fake clock by 1 s, so the 5 s deadline
     # passes during generation; a start vertex's rows follow one read each
@@ -614,6 +681,34 @@ def test_timeout_bounds_generating_the_formula(clock, monkeypatch):
     out = verify_unavoidable(5, timeout=5.0)
     assert out.status == "UNKNOWN" and out.model is None
     assert len(reads) < 2**5 - 1
+
+
+def test_timeout_after_the_last_start_vertex_builds_no_formula(clock, monkeypatch):
+    # the clock passes the 5 s deadline after the check before the last of
+    # the 7 start vertices: one read starts the call and one precedes each
+    # start vertex, so only the check after the last one can see it
+    reads = []
+
+    def tick():
+        reads.append(clock.now)
+        return 0.0 if len(reads) <= 1 + 7 else 10.0
+
+    class Refused:
+        def __new__(cls, *args, **kwargs):
+            pytest.fail("formula built")
+
+    monkeypatch.setattr(clock, "monotonic", tick)
+    monkeypatch.setattr(satgen, "CnfFormula", Refused)
+    out = verify_unavoidable(3, timeout=5.0)
+    assert out.status == "UNKNOWN" and out.model is None
+
+
+@pytest.mark.parametrize("clause, message", [
+    ((1, 4), "literal 4 out of range"), ((-4, 2), "literal -4 out of range"),
+    ((0, 1), "literal 0 out of range"), ((), "empty clause")])
+def test_hand_built_formula_rejects_bad_clauses(clause, message):
+    with pytest.raises(ValueError, match=message):
+        CnfFormula(num_vars=3, clauses=((1, 2), clause))
 
 
 def test_timeout_counts_generating_the_formula(clock, monkeypatch):
@@ -633,7 +728,7 @@ def test_timeout_counts_generating_the_formula(clock, monkeypatch):
 def test_a_distant_deadline_leaves_the_k4_search_unchanged(clock):
     out = verify_unavoidable(4, timeout=1e9)
     assert out.status == "UNSAT"
-    assert (out.conflicts, out.decisions, out.propagations, out.restarts) == (56, 57, 284, 0)
+    assert counters(out) == K4_COUNTERS
 
 
 def test_default_solver_env_override(monkeypatch):
