@@ -339,8 +339,7 @@ def _cmd_cnf(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    outcome = satgen.verify_unavoidable(args.k, solver_command=args.solver,
-                                        timeout=args.timeout)
+    outcome = satgen.verify_unavoidable(args.k, timeout=args.timeout)
     payload = {"k": args.k, "status": outcome.status,
                "model": serialize_colouring(outcome.model) if outcome.model else None}
     if outcome.status == "UNSAT":
@@ -542,11 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True, help="output path, or - for stdout")
 
-    p = sub.add_parser("solve", help="solve the formula for k: the bundled solver "
-                                     "in-process, or a solver command as a subprocess")
+    p = sub.add_parser("solve", help="solve the formula for k with the bundled solver")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--solver", help="solver command (default: RAMSEY_SAT_SOLVER "
-                                    "or the bundled reference solver)")
     p.add_argument("--timeout", type=_positive_seconds, help="seconds before giving up")
 
     p = sub.add_parser("batch", help="run a sweep spec and report pass/fail")
@@ -588,7 +584,7 @@ def dispatch(argv: Sequence[str], *, in_batch: bool = False) -> int:
     except RefutationError as exc:
         print(f"REFUTATION: {exc}", file=sys.stderr)
         return EXIT_REFUTATION
-    except (ParseError, ValueError, OSError, satgen.SolverError,
+    except (ParseError, ValueError, OSError, satgen.ModelValidationError,
             beatty.PartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

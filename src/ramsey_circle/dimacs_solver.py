@@ -1,17 +1,8 @@
-"""Self-contained CDCL SAT solver speaking DIMACS and SAT-competition output.
+"""Self-contained CDCL SAT solver over a list of clauses.
 
-Usage: python -m ramsey_circle.dimacs_solver FILE.cnf
-
-Prints four counter lines ("c conflicts N", "c decisions N",
-"c propagations N", "c restarts N"), then "s SATISFIABLE" with "v" model
-lines, or "s UNSATISFIABLE"; exit codes follow the competition convention
-(10 SAT, 20 UNSAT).  The input is read by the package's one DIMACS parser,
-`satgen.dimacs_read`; a missing or malformed file prints a single "error:"
-line to stderr, no "s" line, and exits 1.  The solver has no dependency
-outside the standard library and is deterministic.  `satgen.solve_external`
-runs `Solver` in-process by default; this command line serves as an external
-solver like any other, and kissat/cadical/minisat can replace it through
-`--solver` or RAMSEY_SAT_SOLVER for speed.
+`satgen.solve_external` and `robust.nearly_ramsey_finite_check` build a
+`Solver` on the clauses of `satgen.copy_formula`.  The solver has no
+dependency outside the standard library and is deterministic.
 
 Implements the standard loop: bit-parallel unit propagation, first unique
 implication point conflict analysis, activity-driven branching with phase
@@ -33,11 +24,8 @@ indexed by the signed literal, -v at slot 2n + 1 - v.
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import Optional, Sequence
-
-from .satgen import dimacs_read
 
 
 class Solver:
@@ -266,37 +254,3 @@ class Solver:
             self.restarts += 1
             conflicts_budget = int(conflicts_budget * 1.5)
 
-
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: dimacs_solver FILE.cnf", file=sys.stderr)
-        return 1
-    try:
-        if argv[1] == "-":
-            text = sys.stdin.read()
-        else:
-            with open(argv[1], "r", encoding="utf-8") as fh:
-                text = fh.read()
-        f = dimacs_read(text)
-    except (OSError, ValueError) as exc:   # ParseError and UnicodeDecodeError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    solver = Solver(f.num_vars, f.clauses)
-    model = solver.solve()
-    print("c ramsey-circle reference CDCL solver")
-    for name in ("conflicts", "decisions", "propagations", "restarts"):
-        print(f"c {name} {getattr(solver, name)}")
-    if model is None:
-        print("s UNSATISFIABLE")
-        return 20
-    print("s SATISFIABLE")
-    lits = [v if model[v] else -v for v in range(1, f.num_vars + 1)]
-    rows = [lits[i:i + 20] for i in range(0, len(lits), 20)] or [[]]
-    rows[-1].append(0)
-    for row in rows:
-        print("v", *row)
-    return 10
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv))

@@ -7,24 +7,22 @@ all-red copies.  It is satisfiable iff some two-colouring avoids
 monochromatic copies, so UNSAT verifies unavoidability and a model is a
 counterexample; `cnf_generate(k)` is its doubling tuple on the (2^k - 1)-gon.
 Given a deadline, generation stops before the next start vertex or the
-formula object once it has passed.  `dimacs_read`, the one DIMACS parser,
-sends only a token it has not read before through int() and the range check.
+formula object once it has passed.  `dimacs_write` gives the DIMACS text
+that `cnf` writes for any solver run by hand; `dimacs_read`, the one DIMACS
+parser, sends only a token it has not read before through int() and the
+range check.
 
-By default the bundled CDCL solver (`dimacs_solver.Solver`) runs
-in-process on the clauses, with no DIMACS file and no subprocess.  A solver
-command, given as an argument or in RAMSEY_SAT_SOLVER, runs instead as a
-subprocess on a DIMACS file; any tool emitting SAT-competition output
-("s SATISFIABLE" / "s UNSATISFIABLE" plus "v" model lines) works.
+The bundled CDCL solver (`dimacs_solver.Solver`) runs in-process on the
+clauses, with no DIMACS file.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import os
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .core import Colouring, ParseError, discretize, power_tuple
 from .detector import detect_bruteforce
@@ -37,21 +35,8 @@ MAX_K = 8
 GENERATOR_NAME = "ramsey-circle cnf generator"
 
 
-class SolverError(RuntimeError):
-    """Base class for failures of the solver pipeline."""
-
-
-class SolverNotFoundError(SolverError):
-    pass
-
-
-class SolverOutputError(SolverError):
-    """The subprocess output has no status line, more than one, an unknown
-    status, or a model line with a token that is not an integer."""
-
-
-class ModelValidationError(SolverError):
-    """The reported model does not satisfy the formula it came from."""
+class ModelValidationError(RuntimeError):
+    """A solver model fails its clause check or its detector cross-check."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +58,14 @@ class CnfFormula:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(f"literal {lit} out of range for {self.num_vars} variables")
 
+    @classmethod
+    def _unchecked(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> CnfFormula:
+        """A formula of tuple clauses already known non-empty and in range,
+        built without the `__post_init__` pass over every literal."""
+        f = cls.__new__(cls)
+        f.__dict__.update(num_vars=num_vars, clauses=clauses)
+        return f
+
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
@@ -83,7 +76,7 @@ class SolverOutcome:
     status: str                    # "SAT" | "UNSAT" | "UNKNOWN"
     model: Optional[Colouring]     # present iff SAT
     solver_time: float             # seconds
-    # the solver's search counters; None when its output does not report them
+    # the solver's search counters; None only for UNKNOWN
     conflicts: Optional[int] = None
     decisions: Optional[int] = None
     propagations: Optional[int] = None
@@ -120,9 +113,7 @@ def copy_formula(n: int, gaps: Sequence[int], deadline: Optional[float] = None) 
         negative += [copy(negated_row) for copy in copies]
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutError("deadline passed while generating the formula")
-    f = CnfFormula.__new__(CnfFormula)   # in range by construction: no __post_init__ pass
-    f.__dict__.update(num_vars=n, clauses=tuple(positive + negative))
-    return f
+    return CnfFormula._unchecked(n, tuple(positive + negative))
 
 
 def cnf_generate(k: int, deadline: Optional[float] = None) -> CnfFormula:
@@ -190,130 +181,43 @@ def dimacs_read(text: str) -> CnfFormula:
         raise ParseError("missing problem line")
     if promised != len(clauses):
         raise ParseError(f"header promises {promised} clauses, found {len(clauses)}")
-    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+    return CnfFormula._unchecked(num_vars, tuple(clauses))   # every token checked above
 
 
-def default_solver_command() -> Optional[str]:
-    """The RAMSEY_SAT_SOLVER command, or None for the bundled solver in-process."""
-    return os.environ.get("RAMSEY_SAT_SOLVER") or None
-
-
-def _solver_env() -> dict[str, str]:
-    """The caller's environment with this package's parent directory first on
-    PYTHONPATH, so the bundled solver starts whatever the caller's own path."""
-    env = dict(os.environ)
-    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (pkg_parent, env.get("PYTHONPATH"))))
-    return env
-
-
-_STATUS = {"SATISFIABLE": "SAT", "UNSATISFIABLE": "UNSAT", "UNKNOWN": "UNKNOWN"}
 _COUNTERS = ("conflicts", "decisions", "propagations", "restarts")
 
 
-def _parse_solver_output(stdout: str, returncode: int, stderr: str,
-                         ) -> tuple[str, list[int], dict[str, int]]:
-    """The status, the model literals without their closing 0, and the
-    counters among `c <counter> N` lines."""
-    status = None
-    model_lits: list[int] = []
-    counters: dict[str, int] = {}
-    for line in stdout.splitlines():
-        line = line.strip()
-        if line.startswith("s "):
-            token = line[2:].strip()
-            if status is not None:
-                raise SolverOutputError(f"second status line {line!r} in solver output")
-            status = _STATUS.get(token)
-            if status is None:
-                raise SolverOutputError(f"unknown status {token!r} in solver output")
-        elif line.startswith("v "):
-            for tok in line[2:].split():
-                try:
-                    model_lits.append(int(tok))
-                except ValueError:
-                    raise SolverOutputError(
-                        f"invalid literal {tok!r} in solver model line") from None
-        elif line.startswith("c "):
-            tokens = line.split()
-            if len(tokens) == 3 and tokens[1] in _COUNTERS and tokens[2].isdigit():
-                counters[tokens[1]] = int(tokens[2])
-    if status is None:
-        raise SolverOutputError(
-            f"no status line in solver output (exit code {returncode}); "
-            f"stderr: {stderr.strip()[:200]!r}")
-    if model_lits and model_lits[-1] == 0:
-        model_lits.pop()
-    return status, model_lits, counters
-
-
-def _decode_model(f: CnfFormula, lits: Sequence[int]) -> Colouring:
-    assignment: dict[int, bool] = {}
-    for lit in lits:
-        var = abs(lit)
-        if not 1 <= var <= f.num_vars:
-            raise ModelValidationError(
-                f"model variable {var} is out of range for {f.num_vars} variables")
-        if assignment.setdefault(var, lit > 0) != (lit > 0):
-            raise ModelValidationError(f"model assigns variable {var} both ways")
-    missing = [v for v in range(1, f.num_vars + 1) if v not in assignment]
-    if missing:
-        raise ModelValidationError(f"model leaves variables unassigned: {missing[:5]}")
+def _decode_model(f: CnfFormula, model: Sequence[bool]) -> Colouring:
+    """The colouring of a model indexed by variable, once it satisfies every clause."""
     for clause in f.clauses:
-        if not any(assignment[abs(lit)] == (lit > 0) for lit in clause):
+        if not any(model[abs(lit)] == (lit > 0) for lit in clause):
             raise ModelValidationError(f"model falsifies clause {clause}")
     return Colouring(n=f.num_vars,
-                     red_mask=sum(1 << (var - 1) for var, red in assignment.items() if red))
+                     red_mask=sum(1 << (var - 1) for var in range(1, f.num_vars + 1) if model[var]))
 
 
-def solve_external(f: CnfFormula, solver_command: Union[str, Sequence[str], None] = None,
-                   timeout: Optional[float] = None) -> SolverOutcome:
-    """Solve f with `solver_command`, else the RAMSEY_SAT_SOLVER command, as a
-    subprocess on a DIMACS file, or with neither by the bundled solver
-    in-process.  A timeout, which bounds building the solver as well as the
-    search, gives UNKNOWN with no counters.  SAT models are checked against
-    every clause before being decoded into a colouring."""
-    command = solver_command if solver_command is not None else default_solver_command()
+def solve_external(f: CnfFormula, timeout: Optional[float] = None) -> SolverOutcome:
+    """Solve f with the bundled solver in-process.  A timeout, which bounds
+    building the solver as well as the search, gives UNKNOWN with no
+    counters.  A SAT model is checked against every clause before it is
+    decoded into a colouring."""
+    from .dimacs_solver import Solver   # here: importing satgen, and so the CLI, loads no solver
+
     started = time.monotonic()
-    if command is None:
-        from .dimacs_solver import Solver   # here: the solver module imports this one
-
-        deadline = None if timeout is None else started + timeout
-        try:
-            solver = Solver(f.num_vars, f.clauses, deadline)
-            model = solver.solve()
-        except TimeoutError:
-            return SolverOutcome(status="UNKNOWN", model=None,
-                                 solver_time=time.monotonic() - started)
-        status = "UNSAT" if model is None else "SAT"
-        lits = [v if model[v] else -v for v in range(1, f.num_vars + 1)] if model else []
-        counters = {name: getattr(solver, name) for name in _COUNTERS}
-    else:
-        import shlex   # here, not at the top: only a solver command needs them
-        import subprocess
-        import tempfile
-
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
-        with tempfile.TemporaryDirectory(prefix="ramsey-cnf-") as tmp:
-            path = os.path.join(tmp, "formula.cnf")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dimacs_write(f))
-            try:
-                proc = subprocess.run(argv + [path], capture_output=True, text=True,
-                                      timeout=timeout, env=_solver_env())
-            except FileNotFoundError:
-                raise SolverNotFoundError(f"solver command not found: {argv[0]!r}") from None
-            except subprocess.TimeoutExpired:
-                return SolverOutcome(status="UNKNOWN", model=None,
-                                     solver_time=time.monotonic() - started)
-        status, lits, counters = _parse_solver_output(proc.stdout, proc.returncode, proc.stderr)
+    deadline = None if timeout is None else started + timeout
+    try:
+        solver = Solver(f.num_vars, f.clauses, deadline)
+        model = solver.solve()
+    except TimeoutError:
+        return SolverOutcome(status="UNKNOWN", model=None, solver_time=time.monotonic() - started)
     elapsed = time.monotonic() - started
-    model = _decode_model(f, lits) if status == "SAT" else None
-    return SolverOutcome(status=status, model=model, solver_time=elapsed, **counters)
+    return SolverOutcome(status="UNSAT" if model is None else "SAT",
+                         model=None if model is None else _decode_model(f, model),
+                         solver_time=elapsed,
+                         **{name: getattr(solver, name) for name in _COUNTERS})
 
 
-def verify_unavoidable(k: int, solver_command: Union[str, Sequence[str], None] = None,
-                       timeout: Optional[float] = None) -> SolverOutcome:
+def verify_unavoidable(k: int, timeout: Optional[float] = None) -> SolverOutcome:
     """Solve the full formula for k.
 
     UNSAT: every two-colouring of the (2^k - 1)-gon contains a
@@ -330,7 +234,7 @@ def verify_unavoidable(k: int, solver_command: Union[str, Sequence[str], None] =
         return SolverOutcome(status="UNKNOWN", model=None, solver_time=time.monotonic() - started)
     if deadline is not None:   # generating the formula counts against the timeout
         timeout = deadline - time.monotonic()
-    outcome = solve_external(f, solver_command, timeout)
+    outcome = solve_external(f, timeout)
     if outcome.status == "SAT":
         witness = detect_bruteforce(outcome.model, discretize(power_tuple(k)))
         if witness is not None:
