@@ -9,13 +9,14 @@ from the copy's smallest vertex exactly when v < order[-1]; its mask is then
 the plan's mask shifted by v, with no reduction mod n.
 
 Every other copy question goes through one kernel, a reachability DP
-indexed by the sub-multiset of gaps a path uses: `detect_dp` runs it once
-per colour class, and `find_copy_in_class` is the single-class query.
+indexed by the sub-multiset of gaps a path uses: `find_copy_in_class` is the
+single-class query, and `detect_dp` calls it once per colour class.
 Sub-multisets are mixed-radix indices over (distinct gap value,
 multiplicity), so repeated gaps and colliding subset sums need no special
-case.  Each state is one n-bit integer holding every start vertex at once,
-so a pass costs prod(multiplicity + 1) rotations of an n-bit mask, 2^k for
-distinct gaps.
+case, and each state's predecessors and sum follow from its index by
+arithmetic, with no table kept between calls.  Each state is one n-bit
+integer holding every start vertex at once, so a pass costs
+prod(multiplicity + 1) rotations of an n-bit mask, 2^k for distinct gaps.
 
 Both routes return the same witness on the same input: the copy whose
 presentation (smallest vertex, then gap order, then Red before Blue) is
@@ -46,9 +47,10 @@ BRUTE_LIMIT = 1_500_000
 #: the SAT re-check at k = 8 5.1e6.
 BRUTE_WORD_LIMIT = 200_000_000
 
-#: Bits one kernel pass may hold, refused above before any table is built:
-#: per sub-multiset state an n-bit reach mask plus about 512 bits per gap of
-#: plan.  k = 13 on the eps = 1/100 majority grid needs 2.7e10, k = 14 1.1e11.
+#: Bits one kernel pass may charge, refused above before any state is built:
+#: per sub-multiset state an n-bit reach mask plus 512 bits per distinct gap
+#: value, the length of the pass's inner loop.  k = 13 on the eps = 1/100
+#: majority grid needs 2.7e10, k = 14 1.1e11; 22 distinct gaps 4.8e10.
 STATE_BIT_LIMIT = 2**35
 
 
@@ -157,67 +159,6 @@ def detect_bruteforce(c: Colouring, inst: DiscreteInstance,
     return None
 
 
-@lru_cache(maxsize=64)
-def _plan(gaps: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """Sum and predecessors of every sub-multiset of the gap tuple.
-
-    Index i holds count a_j of the j-th distinct gap value as a mixed-radix
-    digit of base (multiplicity_j + 1), so removing one gap g from i gives a
-    smaller index.  preds[i] lists (g, j) for each value g present in i, in
-    ascending g, where j indexes i with one g removed; the last index is the
-    full multiset.
-    """
-    values = sorted(set(gaps))
-    radices = [gaps.count(g) + 1 for g in values]
-    weights = [math.prod(radices[:j]) for j in range(len(values))]
-    sums, preds = [], []
-    for i in range(math.prod(radices)):
-        digits = [i // w % r for w, r in zip(weights, radices)]
-        sums.append(sum(a * g for a, g in zip(digits, values)))
-        preds.append(tuple((g, i - w) for a, g, w in zip(digits, values, weights) if a))
-    return tuple(sums), tuple(preds)
-
-
-def _least_copy(class_mask: int, n: int, gaps: tuple[int, ...],
-                ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The kernel behind both public queries.  Callers sort the gaps, so
-    every order of one multiset shares a cached plan.
-
-    Bit i of reach[S] says an all-in-class counterclockwise path starts at i
-    and uses exactly the sub-multiset S of gaps:
-    reach[S] = rot(class, -sum S) & OR_{g in S} reach[S - g].  reach[full]
-    marks the start vertices of copies.  From the lowest one, the walk
-    forward takes the smallest g whose landing vertex still reaches the
-    start with the remaining gaps, which gives the least gap order.
-    """
-    bits = n + 512 * len(gaps)
-    # 2^k bounds the state count, so only a tuple near the budget counts them
-    if bits << len(gaps) > STATE_BIT_LIMIT:
-        states = math.prod(len(list(run)) + 1 for _, run in itertools.groupby(gaps))
-        if states * bits > STATE_BIT_LIMIT:
-            raise ValueError(f"{states} sub-multiset states of {bits} bits are "
-                             f"above the detector budget of {STATE_BIT_LIMIT} bits")
-    sums, preds = _plan(gaps)
-    reach = [class_mask]
-    for total, ps in zip(sums[1:], preds[1:]):
-        acc = 0
-        for _, p in ps:
-            acc |= reach[p]
-        reach.append(rotate_mask(class_mask, -total, n) & acc)
-    hits = reach[-1]
-    if not hits:
-        return None
-    u = (hits & -hits).bit_length() - 1
-    vertices, order = [u], []
-    rest = len(reach) - 1
-    while rest:
-        g, rest = next((g, p) for g, p in preds[rest] if reach[p] >> (u + g) % n & 1)
-        u = (u + g) % n
-        vertices.append(u)
-        order.append(g)
-    return tuple(vertices[:-1]), tuple(order)
-
-
 def detect_dp(c: Colouring, inst: DiscreteInstance) -> Optional[CopyWitness]:
     """Sub-multiset DP detector; identical verdict and witness to brute force.
 
@@ -226,10 +167,9 @@ def detect_dp(c: Colouring, inst: DiscreteInstance) -> Optional[CopyWitness]:
     """
     if c.n != inst.n:
         raise ValueError(f"colouring has n={c.n} but instance has n={inst.n}")
-    gaps = tuple(sorted(inst.gaps))
     candidates = []
     for rank, colour in enumerate("RB"):
-        found = _least_copy(c.class_mask(colour), inst.n, gaps)
+        found = find_copy_in_class(c.class_mask(colour), inst.n, inst.gaps)
         if found is not None:
             vertices, order = found
             candidates.append((vertices[0], order, rank, vertices, colour))
@@ -246,8 +186,51 @@ def find_copy_in_class(class_mask: int, n: int, gaps: Sequence[int],
     Exact for any gaps summing to n, repeated values and colliding subset
     sums included, so a None verdict is a proof of absence.  Returns
     (vertices, gap_order) presented from the copy's smallest vertex.
+
+    Bit i of reach[S] says an all-in-class counterclockwise path starts at i
+    and uses exactly the sub-multiset S of gaps:
+    reach[S] = rot(class, -sum S) & OR_{g in S} reach[S - g].  State i holds
+    count a_j of the j-th distinct gap value g_j as a mixed-radix digit of
+    radix r_j = multiplicity_j + 1 and weight w_j, so S - g_j is i - w_j
+    whenever a_j = i // w_j % r_j is non-zero.  reach[full] marks the start
+    vertices of copies.  From the lowest one, the walk forward takes the
+    smallest g whose landing vertex still reaches the start with the
+    remaining gaps, which gives the least gap order.
     """
-    return _least_copy(class_mask, n, tuple(sorted(gaps)))
+    digits = []   # (g_j, w_j, r_j) in ascending g
+    states = 1
+    for g, run in itertools.groupby(sorted(gaps)):
+        radix = len(list(run)) + 1
+        digits.append((g, states, radix))
+        states *= radix
+    bits = n + 512 * len(digits)
+    if states * bits > STATE_BIT_LIMIT:
+        raise ValueError(f"{states} sub-multiset states of {bits} bits are "
+                         f"above the detector budget of {STATE_BIT_LIMIT} bits")
+    sums = [0]
+    reach = [class_mask]
+    for i in range(1, states):
+        acc = 0
+        for g, w, r in digits:
+            if i // w % r:
+                acc |= reach[i - w]
+                total = sums[i - w] + g
+        sums.append(total)
+        reach.append(rotate_mask(class_mask, -total, n) & acc)
+    hits = reach[-1]
+    if not hits:
+        return None
+    u = (hits & -hits).bit_length() - 1
+    vertices, order = [u], []
+    rest = states - 1
+    while rest:
+        g, w = next((g, w) for g, w, r in digits
+                    if rest // w % r and reach[rest - w] >> (u + g) % n & 1)
+        rest -= w
+        u = (u + g) % n
+        vertices.append(u)
+        order.append(g)
+    return tuple(vertices[:-1]), tuple(order)
 
 
 def count_copies(c: Colouring, inst: DiscreteInstance) -> tuple[int, int]:

@@ -25,6 +25,7 @@ indexed by the signed literal, -v at slot 2n + 1 - v.
 from __future__ import annotations
 
 import time
+from array import array
 from typing import Optional, Sequence
 
 
@@ -59,7 +60,7 @@ class Solver:
             self._add_clause(clause)
         # One pass per mask: OR-ing in one clause at a time would be quadratic.
         size = len(self.clauses)
-        holders: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
+        holders = [array("I") for _ in range(2 * num_vars + 1)]   # clause indices
         for c, clause in enumerate(self.clauses):
             for lit in clause:
                 holders[lit].append(c)

@@ -105,6 +105,16 @@ def test_check_brute_force_above_the_budget_is_refused(capsys, tmp_path, flag):
     assert "1814400 copies of 362880 gap orders are above the brute-force budget" in captured.err
 
 
+def test_check_answers_eight_hundred_repeated_gaps(capsys, tmp_path):
+    # 401 * 401 sub-multiset states: within the detector budget
+    colouring = tmp_path / "red_1200.txt"
+    colouring.write_text("1200\n" + "R" * 1200 + "\n", encoding="utf-8")
+    code, body = run_json(capsys, ["check", "--input", str(colouring),
+                                   "--gaps", ",".join(["2"] * 400 + ["1"] * 400)])
+    assert code == EXIT_OK
+    assert body["witness"]["gap_order"] == [1] * 400 + [2] * 400
+
+
 def test_check_dimension_mismatch_is_usage_error(capsys, split7):
     code = dispatch(["check", "--input", split7, "--gaps", "3,2,1"])
     assert code == EXIT_ERROR

@@ -377,8 +377,9 @@ def test_dimension_mismatch_rejected():
 
 
 def test_many_distinct_gaps_are_refused_before_the_plan(monkeypatch):
-    # 27 distinct gaps: 2^27 sub-multiset states, each with a plan entry
-    monkeypatch.setattr(detector, "_plan", lambda gaps: pytest.fail("plan built"))
+    # 27 distinct gaps: 2^27 sub-multiset states; the kernel's first state
+    # rotates the class mask, so the refusal comes before any state is built
+    monkeypatch.setattr(detector, "rotate_mask", lambda *args: pytest.fail("state built"))
     gaps = tuple(range(1, 28))
     n = sum(gaps)
     with pytest.raises(ValueError, match="above the detector budget"):
@@ -391,6 +392,53 @@ def test_repeated_gaps_are_budgeted_by_their_sub_multisets():
     # forty equal gaps have 41 sub-multisets, far below the 2^40 bound
     n = 40
     assert find_copy_in_class((1 << n) - 1, n, (1,) * n) == (tuple(range(n)), (1,) * n)
+
+
+@pytest.mark.parametrize("top, admitted", [(21, True), (22, False)])
+def test_the_budget_charges_each_distinct_gap_value(monkeypatch, top, admitted):
+    # 1..21: 2^21 states of 231 + 512 * 21 bits, 2.3e10; 1..22 needs 4.8e10.
+    # The n-bit masks alone (6e8 and 1.1e9 bits) would admit both.
+    class Admitted(Exception):
+        pass
+
+    def rotate_mask(mask, r, n):
+        raise Admitted
+
+    monkeypatch.setattr(detector, "rotate_mask", rotate_mask)
+    gaps = tuple(range(1, top + 1))
+    n = sum(gaps)
+    with pytest.raises(Admitted if admitted else ValueError):
+        find_copy_in_class((1 << n) - 1, n, gaps)
+
+
+def test_many_distinct_gaps_keep_no_table_per_state():
+    # 4096 states of a 78-bit mask; a table of predecessor tuples took 2.6 MB
+    gaps = tuple(range(1, 13))
+    n = sum(gaps)
+    tracemalloc.start()
+    try:
+        assert find_copy_in_class((1 << n) - 1, n, gaps) is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_eight_hundred_repeated_gaps_are_answered():
+    # 401 * 401 states of 1200 + 2 * 512 bits, far below the budget; charged
+    # 512 bits per gap rather than per distinct value it was refused
+    n, gaps = 1200, (2,) * 400 + (1,) * 400
+    inst = DiscreteInstance(n, gaps)
+    full = (1 << n) - 1
+    w = detect_dp(Colouring(n, full), inst)
+    assert w.vertices[:401] == tuple(range(401)) and w.gap_order == (1,) * 400 + (2,) * 400
+    assert w.revalidates(Colouring(n, full), inst)
+    # without vertex 600 a step of 2 crosses it; no step of 1 or 2 crosses
+    # both 600 and 601, and every copy goes once round the circle
+    holed = Colouring(n, full ^ 1 << 600)
+    vertices, order = find_copy_in_class(holed.red_mask, n, gaps)
+    assert CopyWitness(vertices, order, "Red").revalidates(holed, inst)
+    assert find_copy_in_class(full ^ 3 << 600, n, gaps) is None
 
 
 def test_bruteforce_on_a_large_circle_keeps_no_colouring_sized_table():

@@ -136,14 +136,14 @@ def test_k14_at_eps_one_hundredth_is_refused_before_the_kernel_allocates(capsys)
 
 
 def test_k13_at_eps_one_hundredth_is_within_the_budget(monkeypatch):
-    # reaching the plan means the budget let the pass through; the pass
-    # itself (2.7e10 bits, several seconds) is not run here
+    # building the first state means the budget let the pass through; the
+    # pass itself (2.7e10 bits, several seconds) is not run here
     class Admitted(Exception):
         pass
 
-    def plan(gaps):
+    def rotate_mask(mask, r, n):
         raise Admitted
 
-    monkeypatch.setattr(detector, "_plan", plan)
+    monkeypatch.setattr(detector, "rotate_mask", rotate_mask)
     with pytest.raises(Admitted):
         majority_verify(MajorityParams(13, F(1, 100)))
