@@ -326,15 +326,18 @@ def _cmd_majority(args) -> int:
 
 
 def _cmd_cnf(args) -> int:
-    formula = satgen.cnf_generate(args.k)
-    text = satgen.dimacs_write(formula, comments=(f"k = {args.k}",))
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
-        if not args.json:
-            print(f"wrote {formula.num_vars} variables, {formula.num_clauses} "
-                  f"clauses to {args.out}")
+    # k is refused before the output is opened, and the output is opened
+    # before any clause is built; the clauses go out a start vertex at a time
+    gaps = satgen.doubling_gaps(args.k)
+    n = sum(gaps)
+    with (contextlib.nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", encoding="utf-8")) as out:
+        num_clauses, blocks = satgen.copy_clauses(n, gaps)
+        out.write(satgen.dimacs_header(n, num_clauses, (f"k = {args.k}",)))
+        for block in blocks:
+            out.write("".join(satgen.dimacs_lines(block)))
+    if args.out != "-" and not args.json:
+        print(f"wrote {n} variables, {num_clauses} clauses to {args.out}")
     return EXIT_OK
 
 

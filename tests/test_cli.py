@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from _reference import prefix_order, run_sweep_item_in_subprocess, uniform_grid_copy
-from ramsey_circle import beatty, cli, robust
+from ramsey_circle import beatty, cli, robust, satgen
 from ramsey_circle.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK,
                                EXIT_REFUTATION, MAX_T, dispatch)
 from ramsey_circle.core import DistanceTuple, power_tuple
@@ -647,6 +649,67 @@ def test_cnf_to_file(tmp_path, capsys):
     out = tmp_path / "k3.cnf"
     assert dispatch(["cnf", "--k", "3", "--out", str(out)]) == EXIT_OK
     assert "p cnf 7 28" in out.read_text(encoding="utf-8")
+
+
+# sha256 of `dimacs_write(cnf_generate(k), comments=(f"k = {k}",))` as the
+# whole-formula writer produced it before `cnf` streamed its clauses
+CNF_SHA256 = {
+    3: "d23d509bf726ef40d7192566eb87a8a5e8b0c7207639d4c3aaa786e94fb8f454",
+    4: "e2091c2ee530c8e067af75eaca272bc946a4655aa2fb0331dcdb3768943f928b",
+    5: "710e00627d6620acc2ded4e48b03119b6fb9c4fb43e5bbc66546230070786633",
+    6: "341510c4084de80b70a5337a972538e20aa515855b7663e128d3644bca61e093",
+}
+
+
+class _NoFormula:
+    """Stands in for `satgen.CnfFormula`: building a formula fails the test."""
+
+    def __call__(self, *args, **kwargs):
+        pytest.fail("a formula was built")
+
+    def __getattr__(self, name):
+        pytest.fail("a formula was built")
+
+
+@pytest.mark.parametrize("k", sorted(CNF_SHA256))
+def test_cnf_streams_the_bytes_of_the_whole_formula_writer(k, tmp_path, capsys, monkeypatch):
+    expected = satgen.dimacs_write(satgen.cnf_generate(k), comments=(f"k = {k}",))
+    assert hashlib.sha256(expected.encode()).hexdigest() == CNF_SHA256[k]
+    monkeypatch.setattr(satgen, "CnfFormula", _NoFormula())
+    path = tmp_path / f"k{k}.cnf"
+    assert dispatch(["--json", "cnf", "--k", str(k), "--out", str(path)]) == EXIT_OK
+    assert path.read_bytes() == expected.encode()
+    assert dispatch(["cnf", "--k", str(k), "--out", "-"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+def test_cnf_holds_one_start_vertex_of_clauses(tmp_path):
+    # the whole-formula writer peaked at 3.5 MB here, the streamed one at 0.3 MB
+    tracemalloc.start()
+    try:
+        assert dispatch(["cnf", "--k", "6", "--out", str(tmp_path / "k6.cnf")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("k, out", [("9", "file"), ("2", "-")])
+def test_cnf_refuses_k_before_opening_the_output(k, out, tmp_path, capsys):
+    path = tmp_path / "refused.cnf"
+    assert dispatch(["cnf", "--k", k, "--out", "-" if out == "-" else str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: k must be in [3, 8], got")
+    assert not path.exists()
+
+
+def test_cnf_refuses_an_unopenable_output_before_any_clause(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(satgen, "copy_clauses", lambda *args: pytest.fail("clauses generated"))
+    assert dispatch(["cnf", "--k", "8", "--out", str(tmp_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_solve_k3(capsys):

@@ -4,6 +4,7 @@ import itertools
 import random
 import subprocess
 import time
+import tracemalloc
 
 import pytest
 from _reference import dimacs_plain, dpll_sat
@@ -76,6 +77,22 @@ def test_copy_formula_has_both_clauses_of_every_copy(n, gaps):
         assert copies == {frozenset({0, 2, 4}), frozenset({1, 3, 5})}
     if n == 7:
         assert f == cnf_generate(3)
+
+
+@pytest.mark.parametrize("n, gaps", [
+    (7, (4, 2, 1)), (12, (3, 3, 3, 3)), (10, (4, 3, 3)), (31, (16, 8, 4, 2, 1)),
+])
+def test_copy_clauses_are_counted_before_their_blocks(n, gaps):
+    # positive clauses per start vertex, then negated ones: 2n blocks that
+    # join into the formula, in its order and of the count given up front
+    count, blocks = satgen.copy_clauses(n, gaps)
+    blocks = list(blocks)
+    assert len(blocks) == 2 * n
+    assert len({len(block) for block in blocks}) == 1
+    assert [c for block in blocks for c in block] == list(copy_formula(n, gaps).clauses)
+    assert count == sum(map(len, blocks))
+    assert all(c[0] > 0 for block in blocks[:n] for c in block)
+    assert all(c[0] < 0 for block in blocks[n:] for c in block)
 
 
 def test_k_range_enforced(capsys):
@@ -195,10 +212,9 @@ def _read_outcome(reader, text):
         return type(exc), str(exc), exc.line
 
 
-def test_dimacs_read_matches_the_plain_reader_on_seeded_texts():
-    # the table of known tokens skips int() and the range check for a token
-    # already read; every outcome, line number included, must be the plain
-    # per-token reader's
+def assert_dimacs_read_matches_the_plain_reader():
+    """6000 seeded texts: every outcome of `dimacs_read`, line number
+    included, is the plain per-token reader's."""
     rng = random.Random(2024)
     kinds = dict.fromkeys(("ok", "empty clause", "clause before problem line", "exceeds",
                            "malformed problem line", "header promises"), 0)
@@ -210,6 +226,35 @@ def test_dimacs_read_matches_the_plain_reader_on_seeded_texts():
         for kind in kinds:
             kinds[kind] += kind in message
     assert min(kinds.values()) >= 100, kinds
+
+
+def test_dimacs_read_matches_the_plain_reader_on_seeded_texts():
+    # the table of known tokens skips int() and the range check for a token
+    # already read
+    assert_dimacs_read_matches_the_plain_reader()
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 11])
+def test_dimacs_read_matches_the_plain_reader_across_block_boundaries(block, monkeypatch):
+    # blocks of a few characters end inside "\r\n" texts, comment lines and
+    # the header before they are cut after the next newline
+    monkeypatch.setattr(satgen, "READ_BLOCK", block)
+    assert_dimacs_read_matches_the_plain_reader()
+
+
+def test_dimacs_read_holds_one_block_of_lines(monkeypatch):
+    # k = 6 is 15120 lines: split at once, their strings took 1.3 MB above
+    # the formula read; 4096-character blocks take 0.14 MB
+    text = dimacs_write(cnf_generate(6))
+    monkeypatch.setattr(satgen, "READ_BLOCK", 4096)
+    tracemalloc.start()
+    try:
+        f = dimacs_read(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f == cnf_generate(6)
+    assert peak - held < 400_000
 
 
 def test_sign_convention_documented_example():
@@ -598,13 +643,13 @@ def test_timeout_bounds_generating_the_formula(clock, monkeypatch):
 
 def test_timeout_after_the_last_start_vertex_builds_no_formula(clock, monkeypatch):
     # the clock passes the 5 s deadline after the check before the last of
-    # the 7 start vertices: one read starts the call and one precedes each
-    # start vertex, so only the check after the last one can see it
+    # the 2 * 7 blocks: one read starts the call and one precedes each
+    # block, so only the check after the last one can see it
     reads = []
 
     def tick():
         reads.append(clock.now)
-        return 0.0 if len(reads) <= 1 + 7 else 10.0
+        return 0.0 if len(reads) <= 1 + 2 * 7 else 10.0
 
     class Refused:
         @classmethod
@@ -615,6 +660,7 @@ def test_timeout_after_the_last_start_vertex_builds_no_formula(clock, monkeypatc
     monkeypatch.setattr(satgen, "CnfFormula", Refused)
     out = verify_unavoidable(3, timeout=5.0)
     assert out.status == "UNKNOWN" and out.model is None
+    assert len(reads) == 1 + 2 * 7 + 1 + 1   # the last read times the UNKNOWN
 
 
 @pytest.mark.parametrize("clause, message", [
