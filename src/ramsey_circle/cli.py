@@ -334,8 +334,9 @@ def _cmd_cnf(args) -> int:
           else open(args.out, "w", encoding="utf-8")) as out:
         num_clauses, blocks = satgen.copy_clauses(n, gaps)
         out.write(satgen.dimacs_header(n, num_clauses, (f"k = {args.k}",)))
+        lines = satgen.dimacs_lines()
         for block in blocks:
-            out.write("".join(satgen.dimacs_lines(block)))
+            out.write(lines(block))
     if args.out != "-" and not args.json:
         print(f"wrote {n} variables, {num_clauses} clauses to {args.out}")
     return EXIT_OK

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class Solver:
@@ -36,7 +36,7 @@ class Solver:
     `time.monotonic()` passes `deadline`.  `order`, if given, lists every
     variable, and each decision sets the first unassigned one in it false."""
 
-    def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]],
+    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]],
                  deadline: Optional[float] = None, order: Optional[Sequence[int]] = None):
         self.nv = num_vars
         self.deadline = deadline

@@ -99,8 +99,8 @@ def nearly_ramsey_finite_check(d: DistanceTuple, N: int) -> FiniteCheckResult:
     if N > MAX_N:
         raise ValueError(f"N = {N} is above the limit {MAX_N}")
     inst = d.on(N)
-    clauses = [[lit for lit in clause if abs(lit) != 1]
-               for clause in copy_formula(N, inst.gaps).clauses]
+    clauses = ([lit for lit in clause if abs(lit) != 1]
+               for clause in copy_formula(N, inst.gaps).solver_clauses())
     model = Solver(N, clauses, order=range(N, 0, -1)).solve()
     if model is None:
         return FiniteCheckResult(True, None, 1 << (N - 1))

@@ -6,20 +6,19 @@ of the gaps: the positive clauses forbid all-blue copies, the negated ones
 all-red copies.  It is satisfiable iff some two-colouring avoids
 monochromatic copies, so UNSAT verifies unavoidability and a model is a
 counterexample; `cnf_generate(k)` is its doubling tuple on the (2^k - 1)-gon.
-It collects `copy_clauses`, which gives the clause count up front and then
-the clauses in 2n blocks, one per start vertex and sign.  Given a deadline,
-generation checks it before each block and once more before the formula
-object.  `cnf` writes `dimacs_header` and then each block through
-`dimacs_lines`, the per-clause formatter that `dimacs_write` uses for a
-whole formula, so it never holds more than one block: `cnf --k 8` takes
-about 2.7-3.1 s and 20 MB max RSS, where building the formula and its text
-first took 4.5-5.3 s and 724 MB (shared 2-vCPU VM, Python 3.11.7).
-`dimacs_read`, the one DIMACS parser, splits its text into lines a block of
-about 1 MiB at a time and sends only a token it has not read before through
-int() and the range check.
+A `CnfFormula` holds its clauses as one literal stream, an `array("i")` of
+the clauses in order, each ended by a 0 (4 bytes a slot, after MiniSat's
+clause region).  `copy_clauses` gives the clause count up front and then
+the stream in 2n blocks, one per start vertex and sign, checking a deadline
+before each.  `cnf` writes `dimacs_header` and then each block through
+the formatter from `dimacs_lines`, as `dimacs_write` does for a whole
+formula, so it never holds more than one block.  `dimacs_read`, the one
+DIMACS parser, splits its text into lines a block of about 64 KiB at a time
+and appends each literal to the stream; only a token it has not read before
+goes through int() and the range check.
 
 The bundled CDCL solver (`dimacs_solver.Solver`) runs in-process on the
-clauses, with no DIMACS file.
+clauses, with no DIMACS file, fed through `CnfFormula.solver_clauses`.
 """
 
 from __future__ import annotations
@@ -27,55 +26,91 @@ from __future__ import annotations
 import itertools
 import operator
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import Colouring, ParseError, discretize, power_tuple
 from .detector import detect_bruteforce
 
 MIN_K = 3
 # 2 (2^k - 1) (k-1)! clauses: k = 8 has 2.6 M, which `cnf` streams into an
-# 89 MB file in about 3 s; k = 9 has 41 M, sixteen times as many, and
-# `solve` would hold them all.
+# 89 MB file in about 1.3 s, and whose literal stream takes 92 MB; k = 9
+# has 41 M, sixteen times as many, and `solve` would hold them all.
 MAX_K = 8
 
 GENERATOR_NAME = "ramsey-circle cnf generator"
+
+#: Most variables a formula may have: its literals are 32-bit array items.
+MAX_VARS = 2**31 - 1
 
 
 class ModelValidationError(RuntimeError):
     """A solver model fails its clause check or its detector cross-check."""
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+class _LiteralTable(dict):
+    """A table indexed by literal that makes the entry of a literal when it
+    is first met, so it grows with the literals of a stream and not with a
+    header's variable count."""
 
-    def __post_init__(self):
-        clauses = tuple(map(tuple, self.clauses))
-        object.__setattr__(self, "clauses", clauses)
-        literals = set(itertools.chain.from_iterable(clauses))
-        if all(clauses) and 0 not in literals and (
-                not literals or -self.num_vars <= min(literals) <= max(literals) <= self.num_vars):
-            return
+    __slots__ = ("entry",)
+
+    def __init__(self, entry: Callable[[int], object]):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, lit: int):
+        self[lit] = value = self.entry(lit)
+        return value
+
+
+class CnfFormula:
+    """A CNF formula held as one stream of literals: `literals` is an
+    `array("i")` of the clauses in order, each ended by a 0, so a literal
+    slot costs 4 bytes and no clause is a Python object."""
+
+    __slots__ = ("num_vars", "num_clauses", "literals")
+
+    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
+        clauses = tuple(map(tuple, clauses))
+        if num_vars > MAX_VARS:
+            raise ValueError(f"{num_vars} variables are above the limit {MAX_VARS}")
         for clause in clauses:
             if not clause:
                 raise ValueError("empty clause")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range for {self.num_vars} variables")
+                if lit == 0 or abs(lit) > num_vars:
+                    raise ValueError(f"literal {lit} out of range for {num_vars} variables")
+        self.num_vars = num_vars
+        self.num_clauses = len(clauses)
+        self.literals = array("i", itertools.chain.from_iterable(c + (0,) for c in clauses))
 
     @classmethod
-    def _unchecked(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> CnfFormula:
-        """A formula of tuple clauses already known non-empty and in range,
-        built without the `__post_init__` pass over every literal."""
+    def _unchecked(cls, num_vars: int, literals: array, num_clauses: int) -> CnfFormula:
+        """A formula of a stream already known to hold num_clauses non-empty
+        clauses of literals in range, built without the constructor's pass."""
         f = cls.__new__(cls)
-        f.__dict__.update(num_vars=num_vars, clauses=clauses)
+        f.num_vars, f.literals, f.num_clauses = num_vars, literals, num_clauses
         return f
 
+    def __eq__(self, other):
+        if not isinstance(other, CnfFormula):
+            return NotImplemented
+        return self.num_vars == other.num_vars and self.literals == other.literals
+
+    def solver_clauses(self) -> Iterator[list[int]]:
+        """The clauses as lists, each literal one int object shared by all
+        its occurrences.  Reading the array makes a new int for every item
+        outside -5..256, and a solver keeps each one it is given."""
+        shared = _LiteralTable(lambda lit: lit)
+        lits = map(shared.__getitem__, self.literals)
+        return (list(iter(lits.__next__, 0)) for _ in range(self.num_clauses))
+
     @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
+    def clauses(self) -> tuple[tuple[int, ...], ...]:
+        """Every clause as a tuple, built anew on each read."""
+        return tuple(map(tuple, self.solver_clauses()))
 
 
 @dataclass(frozen=True)
@@ -95,22 +130,25 @@ class SolverOutcome:
 
 
 def copy_clauses(n: int, gaps: Sequence[int], deadline: Optional[float] = None
-                 ) -> tuple[int, Iterator[list[tuple[int, ...]]]]:
-    """The clause count of `copy_formula(n, gaps)` and its clauses in 2n blocks.
+                 ) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """The clause count of `copy_formula(n, gaps)` and its literal stream in
+    2n blocks.
 
     Copies are enumerated as (start vertex of the largest gap, ordering of
     the remaining gaps, each once), which meets every copy, and each copy
     of distinct gaps once, so the count is 2 n (number of orderings).  The
     blocks hold the positive clauses of each start vertex, then the negated
-    ones of each start vertex; they are built as they are taken, and
-    TimeoutError is raised once `time.monotonic()` passes `deadline`,
-    checked before each block.
+    ones of each start vertex, each clause ended by a 0; they are built as
+    they are taken, and TimeoutError is raised once `time.monotonic()`
+    passes `deadline`, checked before each block.
     """
-    # The offsets from the start vertex of one copy, one getter per ordering
-    # of the gaps after the largest; the start-v row of a literal list holds
-    # the literal of vertex v + o at position o < n.
-    copies = [operator.itemgetter(*itertools.accumulate((gaps[0],) + rest[:-1], initial=0))
-              for rest in dict.fromkeys(itertools.permutations(gaps[1:]))]
+    # One getter for a whole block: per ordering of the gaps after the
+    # largest, the offsets of the copy's vertices from the start vertex and
+    # then n.  The start-v row holds the literal of vertex v + o at position
+    # o < n and the 0 that ends a clause at n.
+    orderings = dict.fromkeys(itertools.permutations(gaps[1:]))
+    block = operator.itemgetter(*itertools.chain.from_iterable(
+        (*itertools.accumulate((gaps[0],) + rest[:-1], initial=0), n) for rest in orderings))
 
     def blocks():
         for sign in (1, -1):
@@ -118,23 +156,22 @@ def copy_clauses(n: int, gaps: Sequence[int], deadline: Optional[float] = None
             for v in range(n):
                 if deadline is not None and time.monotonic() > deadline:
                     raise TimeoutError("deadline passed while generating the formula")
-                row = literal[v:v + n]
-                yield [copy(row) for copy in copies]
+                yield block(literal[v:v + n] + [0])
 
-    return 2 * n * len(copies), blocks()
+    return 2 * n * len(orderings), blocks()
 
 
 def copy_formula(n: int, gaps: Sequence[int], deadline: Optional[float] = None) -> CnfFormula:
     """Both clause families for non-increasing gaps summing to n, positive
-    first: the blocks of `copy_clauses`, with the deadline checked once
-    more after the last."""
-    _, blocks = copy_clauses(n, gaps, deadline)
-    clauses: list[tuple[int, ...]] = []
+    first: the blocks of `copy_clauses` in one array, with the deadline
+    checked once more after the last."""
+    num_clauses, blocks = copy_clauses(n, gaps, deadline)
+    literals = array("i")
     for block in blocks:
-        clauses += block
+        literals.fromlist(list(block))
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutError("deadline passed while generating the formula")
-    return CnfFormula._unchecked(n, tuple(clauses))
+    return CnfFormula._unchecked(n, literals, num_clauses)
 
 
 def doubling_gaps(k: int) -> tuple[int, ...]:
@@ -154,28 +191,36 @@ def dimacs_header(num_vars: int, num_clauses: int, comments: Sequence[str]) -> s
             + f"p cnf {num_vars} {num_clauses}\n")
 
 
-def dimacs_lines(clauses: Sequence[tuple[int, ...]]) -> list[str]:
-    """One DIMACS line per clause, each ended by a newline."""
-    formats = {size: "%d " * size + "0\n" for size in set(map(len, clauses))}
-    return [formats[len(clause)] % clause for clause in clauses]
+def dimacs_lines() -> Callable[[Iterable[int]], str]:
+    """A formatter that gives the DIMACS lines of a stream of 0-terminated
+    clauses as one string: "v " or "-v " for each literal and "0\n" for
+    each 0.  It keeps the text of every literal it has met."""
+    text = _LiteralTable(lambda lit: f"{lit} " if lit else "0\n")
+    return lambda literals: "".join(map(text.__getitem__, literals))
 
 
 def dimacs_write(f: CnfFormula, comments: Sequence[str] = ()) -> str:
-    lines = dimacs_lines(f.clauses)
-    lines.insert(0, dimacs_header(f.num_vars, f.num_clauses, comments))
-    return "".join(lines)
+    # joined 2^16 literal slots at a time: joining them all at once would
+    # first list a pointer per slot, twice the size of the array
+    lines = dimacs_lines()
+    step = 1 << 16
+    return "".join([dimacs_header(f.num_vars, f.num_clauses, comments),
+                    *(lines(f.literals[i:i + step]) for i in range(0, len(f.literals), step))])
 
 
 #: Characters of DIMACS text that `dimacs_read` splits into lines at a time.
 #: Each block ends just after a newline, so no line, and no "\r\n", is cut.
-READ_BLOCK = 1 << 20
+#: A block's lines and literals are held while it is read: 0.6 MB above the
+#: formula on the k = 7 text at 64 KiB, 7.6 MB at 1 MiB.
+READ_BLOCK = 1 << 16
 
 
 def dimacs_read(text: str) -> CnfFormula:
     num_vars = None
     promised = None
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
+    literals = array("i")
+    num_clauses = 0
+    last = 0   # the literal read last, 0 when no clause is open
     # Every token already read, as 0 or a literal in range: only a new token
     # needs int() and the range check.
     known: dict[str, int] = {}
@@ -184,6 +229,7 @@ def dimacs_read(text: str) -> CnfFormula:
         end = text.find("\n", start + READ_BLOCK - 1) + 1 or len(text)
         lines = text[start:end].splitlines()
         start = end
+        read: list[int] = []   # the block's literals, into the array at its end
         for lineno, line in enumerate(lines, start=lineno + 1):
             tokens = line.split()
             if not tokens or tokens[0].startswith("c"):
@@ -200,6 +246,9 @@ def dimacs_read(text: str) -> CnfFormula:
                     raise ParseError(f"malformed problem line {stripped!r}", line=lineno) from None
                 if num_vars < 0 or promised < 0:
                     raise ParseError(f"negative count in problem line {stripped!r}", line=lineno)
+                if num_vars > MAX_VARS:
+                    raise ParseError(f"{num_vars} variables are above the limit {MAX_VARS}",
+                                     line=lineno)
                 continue
             if num_vars is None:
                 raise ParseError("clause before problem line", line=lineno)
@@ -213,20 +262,19 @@ def dimacs_read(text: str) -> CnfFormula:
                     if abs(lit) > num_vars:
                         raise ParseError(f"literal {lit} exceeds {num_vars} variables", line=lineno)
                     known[tok] = lit
-                if lit:
-                    current.append(lit)
-                elif current:
-                    clauses.append(tuple(current))
-                    current = []
-                else:
+                if not (lit or last):
                     raise ParseError("empty clause", line=lineno)
-    if current:
+                read.append(lit)
+                last = lit
+        literals.fromlist(read)
+        num_clauses += read.count(0)
+    if last:
         raise ParseError("unterminated clause at end of file")
     if num_vars is None:
         raise ParseError("missing problem line")
-    if promised != len(clauses):
-        raise ParseError(f"header promises {promised} clauses, found {len(clauses)}")
-    return CnfFormula._unchecked(num_vars, tuple(clauses))   # every token checked above
+    if promised != num_clauses:
+        raise ParseError(f"header promises {promised} clauses, found {num_clauses}")
+    return CnfFormula._unchecked(num_vars, literals, num_clauses)   # every token checked above
 
 
 _COUNTERS = ("conflicts", "decisions", "propagations", "restarts")
@@ -234,9 +282,9 @@ _COUNTERS = ("conflicts", "decisions", "propagations", "restarts")
 
 def _decode_model(f: CnfFormula, model: Sequence[bool]) -> Colouring:
     """The colouring of a model indexed by variable, once it satisfies every clause."""
-    for clause in f.clauses:
+    for clause in f.solver_clauses():
         if not any(model[abs(lit)] == (lit > 0) for lit in clause):
-            raise ModelValidationError(f"model falsifies clause {clause}")
+            raise ModelValidationError(f"model falsifies clause {tuple(clause)}")
     return Colouring(n=f.num_vars,
                      red_mask=sum(1 << (var - 1) for var in range(1, f.num_vars + 1) if model[var]))
 
@@ -251,7 +299,7 @@ def solve_external(f: CnfFormula, timeout: Optional[float] = None) -> SolverOutc
     started = time.monotonic()
     deadline = None if timeout is None else started + timeout
     try:
-        solver = Solver(f.num_vars, f.clauses, deadline)
+        solver = Solver(f.num_vars, f.solver_clauses(), deadline)
         model = solver.solve()
     except TimeoutError:
         return SolverOutcome(status="UNKNOWN", model=None, solver_time=time.monotonic() - started)

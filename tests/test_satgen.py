@@ -5,6 +5,7 @@ import random
 import subprocess
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from _reference import dimacs_plain, dpll_sat
@@ -83,16 +84,17 @@ def test_copy_formula_has_both_clauses_of_every_copy(n, gaps):
     (7, (4, 2, 1)), (12, (3, 3, 3, 3)), (10, (4, 3, 3)), (31, (16, 8, 4, 2, 1)),
 ])
 def test_copy_clauses_are_counted_before_their_blocks(n, gaps):
-    # positive clauses per start vertex, then negated ones: 2n blocks that
-    # join into the formula, in its order and of the count given up front
+    # positive clauses per start vertex, then negated ones: 2n flat blocks
+    # of 0-terminated clauses that join into the formula's literal stream,
+    # in its order and of the clause count given up front
     count, blocks = satgen.copy_clauses(n, gaps)
     blocks = list(blocks)
     assert len(blocks) == 2 * n
     assert len({len(block) for block in blocks}) == 1
-    assert [c for block in blocks for c in block] == list(copy_formula(n, gaps).clauses)
-    assert count == sum(map(len, blocks))
-    assert all(c[0] > 0 for block in blocks[:n] for c in block)
-    assert all(c[0] < 0 for block in blocks[n:] for c in block)
+    assert array("i", itertools.chain.from_iterable(blocks)) == copy_formula(n, gaps).literals
+    assert count == sum(block.count(0) for block in blocks)
+    assert all(lit >= 0 for block in blocks[:n] for lit in block)
+    assert all(lit <= 0 for block in blocks[n:] for lit in block)
 
 
 def test_k_range_enforced(capsys):
@@ -255,6 +257,49 @@ def test_dimacs_read_holds_one_block_of_lines(monkeypatch):
         tracemalloc.stop()
     assert f == cnf_generate(6)
     assert peak - held < 400_000
+
+
+def _traced(build):
+    """What `build()` returns, the bytes it still holds and the most it held
+    at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return build(), *tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_formulas_hold_four_bytes_per_literal_slot():
+    # k = 6 has 15120 clauses of 6 literals and a 0: 105840 array items.
+    # Generated and read formulas hold 4.08 and 4.18 bytes per slot; a
+    # tuple per clause held 12-14
+    text = dimacs_write(cnf_generate(6))
+    for build in (lambda: cnf_generate(6), lambda: dimacs_read(text)):
+        f, held, _ = _traced(build)
+        assert len(f.literals) == f.num_clauses * 7 == 105840
+        assert held < 4.5 * len(f.literals)
+
+
+def test_tables_by_literal_follow_the_stream_not_the_header():
+    # a header of a million variables over one clause: tables sized by the
+    # header would hold two million entries, some 100 MB
+    f = dimacs_read("p cnf 1000000 1\n-999999 1 0\n")
+    text, _, write_peak = _traced(lambda: dimacs_write(f))
+    clauses, _, view_peak = _traced(lambda: f.clauses)
+    assert text == f"c {satgen.GENERATOR_NAME}\np cnf 1000000 1\n-999999 1 0\n"
+    assert clauses == ((-999999, 1),)
+    assert dimacs_read(text) == f
+    assert max(write_peak, view_peak) < 50_000
+
+
+@pytest.mark.parametrize("header, clause", [("p cnf 2147483648 1", "1 0"),
+                                            ("p cnf 4294967296 1", "4294967295 0")])
+def test_more_variables_than_an_array_item_holds_are_refused(header, clause):
+    with pytest.raises(ParseError, match="above the limit 2147483647") as exc:
+        dimacs_read(f"c big\n{header}\n{clause}\n")
+    assert exc.value.line == 2
+    with pytest.raises(ValueError, match="above the limit 2147483647"):
+        CnfFormula(int(header.split()[2]), [[int(clause.split()[0])]])
 
 
 def test_sign_convention_documented_example():
@@ -468,6 +513,43 @@ K4_COUNTERS = (53, 56, 264, 0)
 
 def counters(out):
     return out.conflicts, out.decisions, out.propagations, out.restarts
+
+
+def test_hand_built_formulas_keep_their_clauses_through_the_stream():
+    # repeated literals, tautologies and unit clauses: the stream gives each
+    # clause back as it was given, and the solver fed from it searches as it
+    # does fed the tuples
+    rng = random.Random(2611)
+    seen = dict.fromkeys(("repeated", "tautology", "unit", "SAT", "UNSAT"), 0)
+    for _ in range(300):
+        nv = rng.randint(1, 8)
+        clauses = tuple(tuple(rng.choice((v, -v))
+                              for v in rng.choices(range(1, nv + 1), k=rng.randint(1, 4)))
+                        for _ in range(rng.randint(1, 3 * nv)))
+        f = CnfFormula(nv, clauses)
+        assert f.clauses == clauses
+        assert len(f.literals) == sum(map(len, clauses)) + f.num_clauses
+        assert dimacs_read(dimacs_write(f)) == f
+        from_stream, from_tuples = Solver(nv, f.solver_clauses()), Solver(nv, clauses)
+        model = from_stream.solve()
+        assert model == from_tuples.solve()
+        assert counters(from_stream) == counters(from_tuples)
+        seen["SAT" if model else "UNSAT"] += 1
+        for clause in clauses:
+            seen["repeated"] += len(set(clause)) < len(clause)
+            seen["tautology"] += any(-lit in clause for lit in clause)
+            seen["unit"] += len(set(clause)) == 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_solver_build_shares_one_int_per_literal():
+    # the k = 6 solver holds 1.96 MB built from the stream; fed the array's
+    # items as read, every literal below -5 is an int object of its own, and
+    # it held 3.30 MB
+    f = cnf_generate(6)
+    solver, held, _ = _traced(lambda: Solver(f.num_vars, f.solver_clauses()))
+    assert len(solver.clauses) == f.num_clauses
+    assert held < 2_500_000
 
 
 def test_bundled_solver_counters_on_k4():
