@@ -36,9 +36,9 @@ from pathlib import Path
 from typing import Sequence
 
 from . import beatty, doubling, majority as majority_mod, robust, satgen, uniform
-from .core import (DiscreteInstance, DistanceTuple, ParseError,
-                   RefutationError, parse_colouring, parse_fraction,
-                   parse_fraction_list, power_tuple, serialize_colouring)
+from .core import (DiscreteInstance, DistanceTuple, RefutationError,
+                   parse_colouring, parse_fraction, parse_fraction_list,
+                   power_tuple, serialize_colouring)
 from .detector import CopyWitness, count_copies, detect_bruteforce, detect_dp
 
 EXIT_OK = 0
@@ -118,8 +118,6 @@ def _cmd_check(args) -> int:
                      "total": red + blue, "n": inst.n},
               [f"red copies: {red}", f"blue copies: {blue}"])
         return EXIT_OK if red + blue else EXIT_NEGATIVE
-    if args.dp and restriction is not None:
-        raise ValueError("--restrict requires the brute-force detector")
     if args.brute or restriction is not None:
         witness = detect_bruteforce(c, inst, restriction=restriction)
     else:
@@ -333,10 +331,7 @@ def _cmd_cnf(args) -> int:
     with (contextlib.nullcontext(sys.stdout) if args.out == "-"
           else open(args.out, "w", encoding="utf-8")) as out:
         num_clauses, blocks = satgen.copy_clauses(n, gaps)
-        out.write(satgen.dimacs_header(n, num_clauses, (f"k = {args.k}",)))
-        lines = satgen.dimacs_lines()
-        for block in blocks:
-            out.write(lines(block))
+        out.writelines(satgen.dimacs_text(n, num_clauses, blocks, (f"k = {args.k}",)))
     if args.out != "-" and not args.json:
         print(f"wrote {n} variables, {num_clauses} clauses to {args.out}")
     return EXIT_OK
@@ -495,10 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="search a colouring for a monochromatic copy")
     p.add_argument("--input", required=True, help="colouring file")
     p.add_argument("--gaps", required=True, help="fractions 4/7,2/7,1/7 or integers 4,2,1")
-    engine = p.add_mutually_exclusive_group()
-    engine.add_argument("--dp", action="store_true",
-                        help="force the sub-multiset DP detector (the default without --restrict)")
-    engine.add_argument("--brute", action="store_true", help="force the brute-force detector")
+    p.add_argument("--brute", action="store_true",
+                   help="use the brute-force detector (implied by --restrict)")
     p.add_argument("--restrict", help="file of allowed cyclic gap orders")
     p.add_argument("--count", action="store_true", help="count monochromatic copies per colour")
 
@@ -588,8 +581,7 @@ def dispatch(argv: Sequence[str], *, in_batch: bool = False) -> int:
     except RefutationError as exc:
         print(f"REFUTATION: {exc}", file=sys.stderr)
         return EXIT_REFUTATION
-    except (ParseError, ValueError, OSError, satgen.ModelValidationError,
-            beatty.PartitionError) as exc:
+    except (ValueError, OSError, satgen.ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

@@ -35,10 +35,11 @@ from typing import Iterable, Optional, Sequence
 from .core import Colouring, DiscreteInstance, rotate_mask
 
 #: Copies, (start, order) pairs with start < order[-1], that one brute-force
-#: scan may visit, refused above before its plan is built.  k gaps with m
-#: distinct orders give m * n / k of them, never fewer than m.  The SAT
-#: re-check at k = 8 (n = 255) has 1 285 200; 9 distinct gaps at least
-#: 1 814 400 (362 880 orders).
+#: scan may visit, and gap slots its plan may hold, each refused above before
+#: the plan is built.  k gaps with m distinct orders give m * n / k copies,
+#: never fewer than m, and m * k slots.  The SAT re-check at k = 8 (n = 255)
+#: has 1 285 200 copies and 322 560 slots; 9 distinct gaps at least
+#: 1 814 400 copies (362 880 orders).
 BRUTE_LIMIT = 1_500_000
 
 #: 64-bit words one `detect_bruteforce` scan may touch, copies times
@@ -105,8 +106,10 @@ def _orders(gaps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ..
     orders = math.factorial(k)
     for _, run in itertools.groupby(order):
         orders //= math.factorial(len(list(run)))
-    if orders * n // k > BRUTE_LIMIT:
-        raise ValueError(f"{orders * n // k} copies of {orders} gap orders are above "
+    copies, slots = orders * n // k, orders * k
+    if max(copies, slots) > BRUTE_LIMIT:
+        charged = f"{copies} copies" if copies > BRUTE_LIMIT else f"{slots} plan slots"
+        raise ValueError(f"{charged} of {orders} gap orders are above "
                          f"the brute-force budget of {BRUTE_LIMIT}")
     plan = []
     while True:

@@ -67,27 +67,22 @@ class MajorityVerdict:
     density_gap: Fraction
 
 
-def _red_instance(params: MajorityParams) -> tuple[Colouring, tuple[int, ...]]:
-    """The colouring on its least grid and the doubling gaps scaled to it."""
-    lengths = interval_lengths(params.eps)
-    grid = common_grid(*(length.denominator for length in lengths), 2 ** params.k - 1)
-    return majority_colouring(params, grid), power_tuple(params.k).on(grid).gaps
-
-
 def majority_verify(params: MajorityParams) -> MajorityVerdict:
     """Search the red class for a copy of the k-part doubling tuple.
 
     Exact over every red start vertex; a witness disproves the claimed
     construction (for the red class only: blue copies are out of scope).
     """
-    c, gaps = _red_instance(params)
-    found = find_copy_in_class(c.red_mask, c.n, gaps)
+    lengths = interval_lengths(params.eps)
+    grid = common_grid(*(length.denominator for length in lengths), 2 ** params.k - 1)
+    c = majority_colouring(params, grid)
+    found = find_copy_in_class(c.red_mask, grid, power_tuple(params.k).on(grid).gaps)
     witness = None
     if found is not None:
         vertices, order = found
         witness = CopyWitness(vertices=vertices, gap_order=order, colour="Red")
     return MajorityVerdict(no_red_copy=found is None, witness=witness,
-                           grid=c.n, density_gap=params.density_gap)
+                           grid=grid, density_gap=params.density_gap)
 
 
 def red_copy_exists_dp(params: MajorityParams) -> bool:
@@ -96,5 +91,4 @@ def red_copy_exists_dp(params: MajorityParams) -> bool:
     The same kernel query as `majority_verify`, so it is not an independent
     check; the tests compare it with a depth-first search and brute force.
     """
-    c, gaps = _red_instance(params)
-    return find_copy_in_class(c.red_mask, c.n, gaps) is not None
+    return not majority_verify(params).no_red_copy

@@ -10,12 +10,12 @@ A `CnfFormula` holds its clauses as one literal stream, an `array("i")` of
 the clauses in order, each ended by a 0 (4 bytes a slot, after MiniSat's
 clause region).  `copy_clauses` gives the clause count up front and then
 the stream in 2n blocks, one per start vertex and sign, checking a deadline
-before each.  `cnf` writes `dimacs_header` and then each block through
-the formatter from `dimacs_lines`, as `dimacs_write` does for a whole
-formula, so it never holds more than one block.  `dimacs_read`, the one
-DIMACS parser, splits its text into lines a block of about 64 KiB at a time
-and appends each literal to the stream; only a token it has not read before
-goes through int() and the range check.
+before each.  `dimacs_text`, the one DIMACS writer, gives the text a block
+at a time: `cnf` writes it as the blocks are generated, so it never holds
+more than one, and `dimacs_write` joins it over a whole formula's stream.
+`dimacs_read`, the one DIMACS parser, splits its text into lines a block of
+about 64 KiB at a time and appends each literal to the stream; only a token
+it has not read before goes through int() and the range check.
 
 The bundled CDCL solver (`dimacs_solver.Solver`) runs in-process on the
 clauses, with no DIMACS file, fed through `CnfFormula.solver_clauses`.
@@ -185,27 +185,28 @@ def cnf_generate(k: int, deadline: Optional[float] = None) -> CnfFormula:
     return copy_formula(2**k - 1, doubling_gaps(k), deadline)
 
 
-def dimacs_header(num_vars: int, num_clauses: int, comments: Sequence[str]) -> str:
-    """The comment lines and the problem line that open a DIMACS text."""
-    return ("".join(f"c {line}\n" for line in (GENERATOR_NAME, *comments))
-            + f"p cnf {num_vars} {num_clauses}\n")
-
-
-def dimacs_lines() -> Callable[[Iterable[int]], str]:
-    """A formatter that gives the DIMACS lines of a stream of 0-terminated
-    clauses as one string: "v " or "-v " for each literal and "0\n" for
-    each 0.  It keeps the text of every literal it has met."""
+def dimacs_text(num_vars: int, num_clauses: int, blocks: Iterable[Iterable[int]],
+                comments: Sequence[str] = ()) -> Iterator[str]:
+    """The DIMACS text of a formula whose literal stream comes in blocks:
+    the comment lines and the problem line, then each block's lines as one
+    string, "v " or "-v " for each literal and "0\n" for each 0.  The text
+    of a literal is made when it is first met and kept."""
+    for line in (GENERATOR_NAME, *comments):
+        yield f"c {line}\n"
+    yield f"p cnf {num_vars} {num_clauses}\n"
     text = _LiteralTable(lambda lit: f"{lit} " if lit else "0\n")
-    return lambda literals: "".join(map(text.__getitem__, literals))
+    for block in blocks:
+        yield "".join(map(text.__getitem__, block))
 
 
 def dimacs_write(f: CnfFormula, comments: Sequence[str] = ()) -> str:
     # joined 2^16 literal slots at a time: joining them all at once would
-    # first list a pointer per slot, twice the size of the array
-    lines = dimacs_lines()
+    # first list a pointer per slot, twice the size of the array.  Viewed,
+    # not copied: copied slices put the k = 7 write-then-read 2 MB higher.
     step = 1 << 16
-    return "".join([dimacs_header(f.num_vars, f.num_clauses, comments),
-                    *(lines(f.literals[i:i + step]) for i in range(0, len(f.literals), step))])
+    slots = memoryview(f.literals)
+    return "".join(dimacs_text(f.num_vars, f.num_clauses,
+                               (slots[i:i + step] for i in range(0, len(slots), step)), comments))
 
 
 #: Characters of DIMACS text that `dimacs_read` splits into lines at a time.

@@ -60,16 +60,23 @@ def test_check_witness_found(capsys, split7):
 
 
 def test_check_integer_gaps_and_detector_flags(capsys, split7):
-    for flag in ("--dp", "--brute"):
+    for flags in ([], ["--brute"]):
         code, body = run_json(capsys, ["check", "--input", split7,
-                                       "--gaps", "4,2,1", flag])
+                                       "--gaps", "4,2,1", *flags])
         assert code == EXIT_OK
         assert body["witness"]["vertices"] == [0, 1, 3]
 
 
+def test_check_has_no_second_spelling_of_the_default_detector(capsys, split7):
+    assert dispatch(["check", "--input", split7, "--gaps", "4,2,1", "--dp"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --dp" in captured.err
+
+
 def test_check_no_witness(capsys, split6):
     # {3} and {2, 1} share a sum: every detector choice still gives a verdict
-    for flags in ([], ["--dp"], ["--brute"]):
+    for flags in ([], ["--brute"]):
         code, body = run_json(capsys, ["check", "--input", split6, "--gaps", "3,2,1", *flags])
         assert code == EXIT_NEGATIVE
         assert body["witness"] is None
@@ -105,6 +112,22 @@ def test_check_brute_force_above_the_budget_is_refused(capsys, tmp_path, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "1814400 copies of 362880 gap orders are above the brute-force budget" in captured.err
+
+
+def test_check_brute_force_plan_above_the_budget_is_refused(capsys, tmp_path):
+    # (3, 2) and 998 ones on Z_1003: 999000 orders give 1001997 copies, within
+    # the budget, but a plan of 999000000 gap slots
+    colouring = tmp_path / "red_1003.txt"
+    colouring.write_text("1003\n" + "R" * 1003 + "\n", encoding="utf-8")
+    started = time.perf_counter()
+    code = dispatch(["--json", "check", "--input", str(colouring),
+                     "--gaps", ",".join(["3", "2"] + ["1"] * 998), "--brute"])
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("999000000 plan slots of 999000 gap orders are above the brute-force budget"
+            in captured.err)
 
 
 def test_check_answers_eight_hundred_repeated_gaps(capsys, tmp_path):
@@ -605,7 +628,7 @@ def dispatch_argv(draw, colouring_dir):
     colours = "".join(draw(st.lists(st.sampled_from("RB"), min_size=n, max_size=n)))
     path = colouring_dir / f"{colours}.txt"
     path.write_text(f"{n}\n{colours}\n", encoding="utf-8")
-    flags = draw(st.sampled_from([[], ["--dp"], ["--brute"], ["--count"]]))
+    flags = draw(st.sampled_from([[], ["--brute"], ["--count"]]))
     return [command, "--input", str(path), "--gaps", gaps, *flags]
 
 
@@ -1119,3 +1142,10 @@ def test_shipped_sweep_parses():
     items = _parse_sweep(SWEEP_DIR / "acceptance.sweep")
     assert len(items) >= 20
     assert all(isinstance(e, int) and argv for e, argv in items)
+
+
+def test_every_sweep_line_matches_its_golden_output():
+    # exit code, stdout and stderr of each line; tests/sweep_golden.py
+    # rewrites the file after a change that moves one on purpose
+    from sweep_golden import GOLDEN, render
+    assert render() == GOLDEN.read_text(encoding="utf-8")

@@ -496,3 +496,12 @@ def test_bruteforce_budget_admits_the_sat_recheck_and_counts_distinct_orders():
     n = 40
     w = detect_bruteforce(Colouring(n, (1 << n) - 1), DiscreteInstance(n, (1,) * n))
     assert w == CopyWitness(tuple(range(n)), (1,) * n, "Red")
+
+
+def test_bruteforce_budget_charges_the_plans_gap_slots(monkeypatch):
+    # (3, 2) and 98 ones on Z_103: 9900 orders give only 10197 copies, but
+    # the plan would hold 990000 gap slots; refused before it is built
+    monkeypatch.setattr(detector, "BRUTE_LIMIT", 100_000)
+    with pytest.raises(ValueError, match="990000 plan slots of 9900 gap orders are above "
+                                         "the brute-force budget of 100000"):
+        detector._orders.__wrapped__((3, 2) + (1,) * 98)

@@ -123,6 +123,17 @@ def test_dimacs_round_trip():
         assert dimacs_read(dimacs_write(f)) == f
 
 
+@pytest.mark.parametrize("n, gaps", [(5, (2, 2, 1)), (9, (3, 3, 2, 1))])
+def test_dimacs_text_writes_formulas_with_repeated_gaps(n, gaps):
+    # gaps `cnf` never writes: the text block by block equals the text of
+    # the whole formula, and reads back as that formula
+    num_clauses, blocks = satgen.copy_clauses(n, gaps)
+    text = "".join(satgen.dimacs_text(n, num_clauses, blocks, ("repeated gaps",)))
+    f = copy_formula(n, gaps)
+    assert text == dimacs_write(f, ("repeated gaps",))
+    assert dimacs_read(text) == f
+
+
 def test_dimacs_read_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         dimacs_read("p cnf 3 1\n1 x 0\n")
