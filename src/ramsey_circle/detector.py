@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -244,8 +245,10 @@ def count_copies(c: Colouring, inst: DiscreteInstance) -> tuple[int, int]:
     """
     if c.n != inst.n:
         raise ValueError(f"colouring has n={c.n} but instance has n={inst.n}")
-    if len(set(inst.gaps)) != len(inst.gaps):
-        raise ValueError(f"count_copies needs pairwise-distinct gaps, got {inst.gaps}")
+    [(gap, times)] = Counter(inst.gaps).most_common(1)
+    if times > 1:   # not the whole tuple, which may run to thousands of gaps
+        raise ValueError(f"count_copies needs pairwise-distinct gaps, got {len(inst.gaps)} "
+                         f"gaps in which {gap} appears {times} times")
     if c.black is not None:
         raise ValueError("count_copies does not support a black vertex")
     red_mask = c.red_mask

@@ -6,13 +6,16 @@ of the gaps: the positive clauses forbid all-blue copies, the negated ones
 all-red copies.  It is satisfiable iff some two-colouring avoids
 monochromatic copies, so UNSAT verifies unavoidability and a model is a
 counterexample; `cnf_generate(k)` is its doubling tuple on the (2^k - 1)-gon.
-A `CnfFormula` holds its clauses as one literal stream, an `array("i")` of
-the clauses in order, each ended by a 0 (4 bytes a slot, after MiniSat's
-clause region).  `copy_clauses` gives the clause count up front and then
-the stream in 2n blocks, one per start vertex and sign, checking a deadline
-before each.  `dimacs_text`, the one DIMACS writer, gives the text a block
-at a time: `cnf` writes it as the blocks are generated, so it never holds
-more than one, and `dimacs_write` joins it over a whole formula's stream.
+A `CnfFormula` holds its clauses as one literal stream, an array of the
+clauses in order, each ended by a 0 (after MiniSat's clause region), whose
+items are as narrow as its variable count allows: `literal_stream` gives 1
+byte a slot up to 127 variables, 2 up to 32 767 and 4 up to `MAX_VARS`, so
+k = 7 takes 1.5 MB.  `copy_clauses` gives the clause count up front and
+then the stream in 2n blocks, one per start vertex and sign, checking a
+deadline before each.  `dimacs_text`, the one DIMACS writer, gives the text
+a block at a time: `cnf` writes it as the blocks are generated, so it never
+holds more than one, and `dimacs_write` joins it over a whole formula's
+stream.
 `dimacs_read`, the one DIMACS parser, splits its text into lines a block of
 about 64 KiB at a time and appends each literal to the stream; only a token
 it has not read before goes through int() and the range check.
@@ -35,14 +38,20 @@ from .detector import detect_bruteforce
 
 MIN_K = 3
 # 2 (2^k - 1) (k-1)! clauses: k = 8 has 2.6 M, which `cnf` streams into an
-# 89 MB file in about 1.3 s, and whose literal stream takes 92 MB; k = 9
+# 89 MB file in about 1.3 s, and whose literal stream takes 46 MB; k = 9
 # has 41 M, sixteen times as many, and `solve` would hold them all.
 MAX_K = 8
 
 GENERATOR_NAME = "ramsey-circle cnf generator"
 
-#: Most variables a formula may have: its literals are 32-bit array items.
+#: Most variables a formula may have: its literals are at most 32-bit array items.
 MAX_VARS = 2**31 - 1
+
+
+def literal_stream(num_vars: int) -> array:
+    """An empty literal stream for num_vars <= MAX_VARS variables, in the
+    narrowest signed array items that hold -num_vars..num_vars."""
+    return array("b" if num_vars <= 0x7F else "h" if num_vars <= 0x7FFF else "i")
 
 
 class ModelValidationError(RuntimeError):
@@ -66,9 +75,9 @@ class _LiteralTable(dict):
 
 
 class CnfFormula:
-    """A CNF formula held as one stream of literals: `literals` is an
-    `array("i")` of the clauses in order, each ended by a 0, so a literal
-    slot costs 4 bytes and no clause is a Python object."""
+    """A CNF formula held as one stream of literals: `literals` is a
+    `literal_stream(num_vars)` of the clauses in order, each ended by a 0,
+    so a literal slot costs 1, 2 or 4 bytes and no clause is a Python object."""
 
     __slots__ = ("num_vars", "num_clauses", "literals")
 
@@ -84,7 +93,8 @@ class CnfFormula:
                     raise ValueError(f"literal {lit} out of range for {num_vars} variables")
         self.num_vars = num_vars
         self.num_clauses = len(clauses)
-        self.literals = array("i", itertools.chain.from_iterable(c + (0,) for c in clauses))
+        self.literals = literal_stream(num_vars)
+        self.literals.extend(itertools.chain.from_iterable(c + (0,) for c in clauses))
 
     @classmethod
     def _unchecked(cls, num_vars: int, literals: array, num_clauses: int) -> CnfFormula:
@@ -166,7 +176,7 @@ def copy_formula(n: int, gaps: Sequence[int], deadline: Optional[float] = None) 
     first: the blocks of `copy_clauses` in one array, with the deadline
     checked once more after the last."""
     num_clauses, blocks = copy_clauses(n, gaps, deadline)
-    literals = array("i")
+    literals = literal_stream(n)
     for block in blocks:
         literals.fromlist(list(block))
     if deadline is not None and time.monotonic() > deadline:
@@ -219,7 +229,7 @@ READ_BLOCK = 1 << 16
 def dimacs_read(text: str) -> CnfFormula:
     num_vars = None
     promised = None
-    literals = array("i")
+    literals = None   # made at the problem line, as wide as its variable count
     num_clauses = 0
     last = 0   # the literal read last, 0 when no clause is open
     # Every token already read, as 0 or a literal in range: only a new token
@@ -250,6 +260,7 @@ def dimacs_read(text: str) -> CnfFormula:
                 if num_vars > MAX_VARS:
                     raise ParseError(f"{num_vars} variables are above the limit {MAX_VARS}",
                                      line=lineno)
+                literals = literal_stream(num_vars)
                 continue
             if num_vars is None:
                 raise ParseError("clause before problem line", line=lineno)
@@ -267,8 +278,9 @@ def dimacs_read(text: str) -> CnfFormula:
                     raise ParseError("empty clause", line=lineno)
                 read.append(lit)
                 last = lit
-        literals.fromlist(read)
-        num_clauses += read.count(0)
+        if read:   # so the problem line came first
+            literals.fromlist(read)
+            num_clauses += read.count(0)
     if last:
         raise ParseError("unterminated clause at end of file")
     if num_vars is None:

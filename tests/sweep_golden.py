@@ -2,15 +2,23 @@
 every line, run through `cli.dispatch` in one process.
 
 `render()` gives the text that `sweeps/acceptance.golden` must hold, and
-`test_cli.py` compares the two.  After a change that moves a verdict, a
-witness or a message on purpose, rewrite the file with
+`test_cli.py` compares the two.  To see whether the file is stale, run
+
+    PYTHONPATH=src python tests/sweep_golden.py --check
+
+which prints a unified diff of the lines that moved, from the file to a
+fresh run, and exits 1 if there are any, 0 if not; it never writes the
+file.  After a change that moves a verdict, a witness or a message on
+purpose, rewrite the file with
 
     PYTHONPATH=src python tests/sweep_golden.py
 
 and say in CHANGES.md which lines moved and why.
 """
 
+import argparse
 import contextlib
+import difflib
 import io
 import os
 import shlex
@@ -56,6 +64,22 @@ def render(spec: Path = SWEEP) -> str:
     return "\n".join(out)
 
 
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite or check the golden sweep outputs.")
+    parser.add_argument("--check", action="store_true",
+                        help="print a diff and exit 1 if the file is stale; write nothing")
+    args = parser.parse_args(argv)
+    fresh = render()
+    if not args.check:
+        GOLDEN.write_text(fresh, encoding="utf-8")
+        print(f"wrote {GOLDEN}", file=sys.stderr)
+        return 0
+    held = GOLDEN.read_text(encoding="utf-8")
+    sys.stdout.writelines(difflib.unified_diff(held.splitlines(keepends=True),
+                                               fresh.splitlines(keepends=True),
+                                               GOLDEN.name, "fresh run"))
+    return int(held != fresh)
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(render(), encoding="utf-8")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    sys.exit(main())

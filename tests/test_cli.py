@@ -130,6 +130,19 @@ def test_check_brute_force_plan_above_the_budget_is_refused(capsys, tmp_path):
             in captured.err)
 
 
+def test_check_count_refuses_a_thousand_repeated_gaps_in_one_short_line(capsys, tmp_path):
+    # (3, 2) and 998 ones on Z_1003: the gap tuple alone is about 3000 characters
+    colouring = tmp_path / "red_1003.txt"
+    colouring.write_text("1003\n" + "R" * 1003 + "\n", encoding="utf-8")
+    code = dispatch(["check", "--input", str(colouring),
+                     "--gaps", ",".join(["3", "2"] + ["1"] * 998), "--count"])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "got 1000 gaps in which 1 appears 998 times" in captured.err
+    assert len(captured.err) < 200
+
+
 def test_check_answers_eight_hundred_repeated_gaps(capsys, tmp_path):
     # 401 * 401 sub-multiset states: within the detector budget
     colouring = tmp_path / "red_1200.txt"
@@ -1149,3 +1162,24 @@ def test_every_sweep_line_matches_its_golden_output():
     # rewrites the file after a change that moves one on purpose
     from sweep_golden import GOLDEN, render
     assert render() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_sweep_golden_check_prints_the_lines_that_moved_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    import sweep_golden
+    stale = tmp_path / "acceptance.golden"
+    text = sweep_golden.GOLDEN.read_text(encoding="utf-8")
+    stale.write_text(text.replace('"k": 5, "model": null', '"k": 5, "model": []'),
+                     encoding="utf-8")
+    before = stale.read_bytes()
+    monkeypatch.setattr(sweep_golden, "GOLDEN", stale)
+    assert sweep_golden.main(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("--- acceptance.golden\n+++ fresh run\n")
+    assert [line for line in out.splitlines() if line.startswith(("+", "-"))][2:] == [
+        '-| {"command": "solve", "k": 5, "model": [], "schema": 1, "status": "UNSAT"}',
+        '+| {"command": "solve", "k": 5, "model": null, "schema": 1, "status": "UNSAT"}']
+    assert stale.read_bytes() == before
+    stale.write_text(text, encoding="utf-8")
+    assert sweep_golden.main(["--check"]) == 0
+    assert capsys.readouterr().out == ""

@@ -143,7 +143,7 @@ def test_count_split_frozen():
 
 
 def test_count_rejects_duplicate_gaps_and_black():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got 3 gaps in which 3 appears 2 times$"):
         count_copies(Colouring.from_string("RRRRBBB"), DiscreteInstance(7, (3, 3, 1)))
     with pytest.raises(ValueError):
         count_copies(Colouring(7, 0b1010101, black=0), P3)

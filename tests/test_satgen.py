@@ -280,15 +280,39 @@ def _traced(build):
         tracemalloc.stop()
 
 
-def test_formulas_hold_four_bytes_per_literal_slot():
-    # k = 6 has 15120 clauses of 6 literals and a 0: 105840 array items.
-    # Generated and read formulas hold 4.08 and 4.18 bytes per slot; a
-    # tuple per clause held 12-14
+def test_formulas_hold_one_or_two_bytes_per_literal_slot():
+    # k = 6 has 15120 clauses of 6 literals and a 0 over 63 variables:
+    # 105840 one-byte items.  Generated and read formulas hold about 1.03
+    # and 1.05 bytes per slot, 4.09 and 4.18 as 4-byte items; a tuple per
+    # clause held 12-14.  Z_200 needs 2-byte items: 3200 slots at 2.19 and
+    # 2.25 bytes
     text = dimacs_write(cnf_generate(6))
-    for build in (lambda: cnf_generate(6), lambda: dimacs_read(text)):
+    wide_text = dimacs_write(copy_formula(200, (100, 60, 40)))
+    for build, itemsize, slots in ((lambda: cnf_generate(6), 1, 105840),
+                                   (lambda: dimacs_read(text), 1, 105840),
+                                   (lambda: copy_formula(200, (100, 60, 40)), 2, 3200),
+                                   (lambda: dimacs_read(wide_text), 2, 3200)):
         f, held, _ = _traced(build)
-        assert len(f.literals) == f.num_clauses * 7 == 105840
-        assert held < 4.5 * len(f.literals)
+        assert f.literals.itemsize == itemsize
+        assert len(f.literals) == f.num_clauses * (len(f.clauses[0]) + 1) == slots
+        assert held < 1.2 * itemsize * slots
+
+
+@pytest.mark.parametrize("num_vars, itemsize", [(127, 1), (128, 2), (32767, 2), (32768, 4),
+                                                (satgen.MAX_VARS, 4)])
+def test_streams_take_the_narrowest_items_that_hold_every_literal(num_vars, itemsize):
+    # ±num_vars alone and beside the smallest literals, at each side of the
+    # 1-, 2- and 4-byte limits
+    clauses = ((num_vars, -num_vars), (-1, 1), (-num_vars,), (num_vars,))
+    f = CnfFormula(num_vars, clauses)
+    text = dimacs_write(f)
+    g = dimacs_read(text)
+    assert f.literals.itemsize == g.literals.itemsize == itemsize
+    assert text.endswith(f"p cnf {num_vars} 4\n{num_vars} -{num_vars} 0\n-1 1 0\n"
+                         f"-{num_vars} 0\n{num_vars} 0\n")
+    assert f == g
+    assert f.clauses == g.clauses == clauses
+    assert list(g.solver_clauses()) == [list(c) for c in clauses]
 
 
 def test_tables_by_literal_follow_the_stream_not_the_header():
