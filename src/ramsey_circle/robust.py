@@ -12,7 +12,7 @@ t mod q.
 
 `nearly_ramsey_finite_check` decides the finite core of the forcing
 arguments for the nearly-Ramsey triples in one search of the bundled CDCL
-solver on `satgen.copy_formula`, the formula `solve` uses.
+solver on `satgen.copy_formula`, the clauses `solve` streams to its solver.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def nearly_ramsey_finite_check(d: DistanceTuple, N: int) -> FiniteCheckResult:
     sets x true in it too, whatever the restarts and backjumps.
     """
     from .dimacs_solver import Solver   # here: importing robust loads no SAT code
-    from .satgen import ModelValidationError, copy_formula
+    from .satgen import ModelValidationError, clause_lists, copy_formula
 
     if d.k != 3:
         raise ValueError(f"finite check is defined for triples, got k = {d.k}")
@@ -100,7 +100,7 @@ def nearly_ramsey_finite_check(d: DistanceTuple, N: int) -> FiniteCheckResult:
         raise ValueError(f"N = {N} is above the limit {MAX_N}")
     inst = d.on(N)
     clauses = ([lit for lit in clause if abs(lit) != 1]
-               for clause in copy_formula(N, inst.gaps).solver_clauses())
+               for clause in clause_lists(copy_formula(N, inst.gaps).literals))
     model = Solver(N, clauses, order=range(N, 0, -1)).solve()
     if model is None:
         return FiniteCheckResult(True, None, 1 << (N - 1))

@@ -21,7 +21,9 @@ about 64 KiB at a time and appends each literal to the stream; only a token
 it has not read before goes through int() and the range check.
 
 The bundled CDCL solver (`dimacs_solver.Solver`) runs in-process on the
-clauses, with no DIMACS file, fed through `CnfFormula.solver_clauses`.
+clause lists `clause_lists` splits from a literal stream: a formula's, or
+the blocks of `copy_clauses` as they are made, so `solve` builds no
+formula; a SAT model is checked against the stream made again.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .detector import detect_bruteforce
 MIN_K = 3
 # 2 (2^k - 1) (k-1)! clauses: k = 8 has 2.6 M, which `cnf` streams into an
 # 89 MB file in about 1.3 s, and whose literal stream takes 46 MB; k = 9
-# has 41 M, sixteen times as many, and `solve` would hold them all.
+# has 41 M, sixteen times as many, and the solver `solve` builds would hold
+# a list for each.
 MAX_K = 8
 
 GENERATOR_NAME = "ramsey-circle cnf generator"
@@ -72,6 +75,17 @@ class _LiteralTable(dict):
     def __missing__(self, lit: int):
         self[lit] = value = self.entry(lit)
         return value
+
+
+def clause_lists(literals: Iterable[int]) -> Iterator[list[int]]:
+    """The clauses of a 0-terminated literal stream as lists, each literal
+    one int shared by all its occurrences: reading an array makes a new int
+    for every item outside -5..256, and a solver keeps each one it is given.
+    A stream holds no empty clause, so it ends at the first empty list."""
+    shared = _LiteralTable(lambda lit: lit)
+    lits = map(shared.__getitem__, literals)
+    while clause := list(iter(lits.__next__, 0)):
+        yield clause
 
 
 class CnfFormula:
@@ -109,18 +123,10 @@ class CnfFormula:
             return NotImplemented
         return self.num_vars == other.num_vars and self.literals == other.literals
 
-    def solver_clauses(self) -> Iterator[list[int]]:
-        """The clauses as lists, each literal one int object shared by all
-        its occurrences.  Reading the array makes a new int for every item
-        outside -5..256, and a solver keeps each one it is given."""
-        shared = _LiteralTable(lambda lit: lit)
-        lits = map(shared.__getitem__, self.literals)
-        return (list(iter(lits.__next__, 0)) for _ in range(self.num_clauses))
-
     @property
     def clauses(self) -> tuple[tuple[int, ...], ...]:
         """Every clause as a tuple, built anew on each read."""
-        return tuple(map(tuple, self.solver_clauses()))
+        return tuple(map(tuple, clause_lists(self.literals)))
 
 
 @dataclass(frozen=True)
@@ -171,16 +177,13 @@ def copy_clauses(n: int, gaps: Sequence[int], deadline: Optional[float] = None
     return 2 * n * len(orderings), blocks()
 
 
-def copy_formula(n: int, gaps: Sequence[int], deadline: Optional[float] = None) -> CnfFormula:
+def copy_formula(n: int, gaps: Sequence[int]) -> CnfFormula:
     """Both clause families for non-increasing gaps summing to n, positive
-    first: the blocks of `copy_clauses` in one array, with the deadline
-    checked once more after the last."""
-    num_clauses, blocks = copy_clauses(n, gaps, deadline)
+    first: the blocks of `copy_clauses` in one array."""
+    num_clauses, blocks = copy_clauses(n, gaps)
     literals = literal_stream(n)
     for block in blocks:
         literals.fromlist(list(block))
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError("deadline passed while generating the formula")
     return CnfFormula._unchecked(n, literals, num_clauses)
 
 
@@ -191,8 +194,8 @@ def doubling_gaps(k: int) -> tuple[int, ...]:
     return tuple(2**(k - 1 - i) for i in range(k))
 
 
-def cnf_generate(k: int, deadline: Optional[float] = None) -> CnfFormula:
-    return copy_formula(2**k - 1, doubling_gaps(k), deadline)
+def cnf_generate(k: int) -> CnfFormula:
+    return copy_formula(2**k - 1, doubling_gaps(k))
 
 
 def dimacs_text(num_vars: int, num_clauses: int, blocks: Iterable[Iterable[int]],
@@ -290,41 +293,42 @@ def dimacs_read(text: str) -> CnfFormula:
     return CnfFormula._unchecked(num_vars, literals, num_clauses)   # every token checked above
 
 
-_COUNTERS = ("conflicts", "decisions", "propagations", "restarts")
-
-
-def _decode_model(f: CnfFormula, model: Sequence[bool]) -> Colouring:
-    """The colouring of a model indexed by variable, once it satisfies every clause."""
-    for clause in f.solver_clauses():
-        if not any(model[abs(lit)] == (lit > 0) for lit in clause):
-            raise ModelValidationError(f"model falsifies clause {tuple(clause)}")
-    return Colouring(n=f.num_vars,
-                     red_mask=sum(1 << (var - 1) for var in range(1, f.num_vars + 1) if model[var]))
-
-
-def solve_external(f: CnfFormula, timeout: Optional[float] = None) -> SolverOutcome:
-    """Solve f with the bundled solver in-process.  A timeout, which bounds
-    building the solver as well as the search, gives UNKNOWN with no
-    counters.  A SAT model is checked against every clause before it is
-    decoded into a colouring."""
+def _solve(num_vars: int, stream: Callable[[Optional[float]], Iterable[int]],
+           timeout: Optional[float]) -> SolverOutcome:
+    """Solve the literal stream `stream(deadline)` with the bundled solver
+    in-process.  A timeout, bounding the stream and the solver's build as
+    well as the search, gives UNKNOWN with no counters.  A SAT model is
+    checked against every clause of `stream(None)`, then decoded."""
     from .dimacs_solver import Solver   # here: importing satgen, and so the CLI, loads no solver
 
     started = time.monotonic()
     deadline = None if timeout is None else started + timeout
     try:
-        solver = Solver(f.num_vars, f.solver_clauses(), deadline)
+        solver = Solver(num_vars, clause_lists(stream(deadline)), deadline)
         model = solver.solve()
     except TimeoutError:
         return SolverOutcome(status="UNKNOWN", model=None, solver_time=time.monotonic() - started)
     elapsed = time.monotonic() - started
-    return SolverOutcome(status="UNSAT" if model is None else "SAT",
-                         model=None if model is None else _decode_model(f, model),
-                         solver_time=elapsed,
-                         **{name: getattr(solver, name) for name in _COUNTERS})
+    colouring = None
+    if model is not None:
+        for clause in clause_lists(stream(None)):
+            if not any(model[abs(lit)] == (lit > 0) for lit in clause):
+                raise ModelValidationError(f"model falsifies clause {tuple(clause)}")
+        colouring = Colouring(n=num_vars, red_mask=sum(
+            1 << (var - 1) for var in range(1, num_vars + 1) if model[var]))
+    return SolverOutcome(status="UNSAT" if model is None else "SAT", model=colouring,
+                         solver_time=elapsed, **{name: getattr(solver, name) for name in (
+                             "conflicts", "decisions", "propagations", "restarts")})
+
+
+def solve_external(f: CnfFormula, timeout: Optional[float] = None) -> SolverOutcome:
+    """Solve f with the bundled solver in-process (see `_solve`)."""
+    return _solve(f.num_vars, lambda deadline: f.literals, timeout)
 
 
 def verify_unavoidable(k: int, timeout: Optional[float] = None) -> SolverOutcome:
-    """Solve the full formula for k.
+    """Solve the copy clauses of the doubling tuple for k as `copy_clauses`
+    generates them, with no formula built (see `_solve`).
 
     UNSAT: every two-colouring of the (2^k - 1)-gon contains a
     monochromatic copy of the doubling tuple.  SAT: the model is a
@@ -332,15 +336,9 @@ def verify_unavoidable(k: int, timeout: Optional[float] = None) -> SolverOutcome
     a model that still contains a monochromatic copy means the pipeline
     (not the mathematics) is broken.
     """
-    started = time.monotonic()
-    deadline = None if timeout is None else started + timeout
-    try:
-        f = cnf_generate(k, deadline)
-    except TimeoutError:
-        return SolverOutcome(status="UNKNOWN", model=None, solver_time=time.monotonic() - started)
-    if deadline is not None:   # generating the formula counts against the timeout
-        timeout = deadline - time.monotonic()
-    outcome = solve_external(f, timeout)
+    n, gaps = 2**k - 1, doubling_gaps(k)
+    outcome = _solve(n, lambda deadline: itertools.chain.from_iterable(
+        copy_clauses(n, gaps, deadline)[1]), timeout)
     if outcome.status == "SAT":
         witness = detect_bruteforce(outcome.model, discretize(power_tuple(k)))
         if witness is not None:

@@ -1081,6 +1081,20 @@ def run_fresh_interpreter(lines):
                           text=True, env=env, timeout=120)
 
 
+def test_importing_the_cli_or_robust_loads_no_solver():
+    # the solver is imported where a formula is solved, not at import
+    proc = run_fresh_interpreter([
+        "import sys",
+        "import ramsey_circle.robust",
+        "assert 'ramsey_circle.dimacs_solver' not in sys.modules, 'robust loaded the solver'",
+        "import ramsey_circle.cli",
+        "assert 'ramsey_circle.dimacs_solver' not in sys.modules, 'the CLI loaded the solver'",
+        "import ramsey_circle.dimacs_solver",
+        "assert 'ramsey_circle.dimacs_solver' in sys.modules",
+    ])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_import_builds_no_parser_and_one_worker_starts_no_pool(tmp_path):
     # a fresh interpreter, since this one has built the parser and may have
     # imported the pool machinery already

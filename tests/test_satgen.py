@@ -15,9 +15,9 @@ from ramsey_circle.cli import EXIT_ERROR, dispatch
 from ramsey_circle.core import Colouring, ParseError, discretize, power_tuple
 from ramsey_circle.detector import detect_bruteforce
 from ramsey_circle.dimacs_solver import Solver
-from ramsey_circle.satgen import (CnfFormula, ModelValidationError, cnf_generate,
-                                  copy_formula, dimacs_read, dimacs_write, solve_external,
-                                  verify_unavoidable)
+from ramsey_circle.satgen import (CnfFormula, ModelValidationError, clause_lists,
+                                  cnf_generate, copy_formula, dimacs_read, dimacs_write,
+                                  solve_external, verify_unavoidable)
 
 
 def test_formula_sizes():
@@ -312,7 +312,7 @@ def test_streams_take_the_narrowest_items_that_hold_every_literal(num_vars, item
                          f"-{num_vars} 0\n{num_vars} 0\n")
     assert f == g
     assert f.clauses == g.clauses == clauses
-    assert list(g.solver_clauses()) == [list(c) for c in clauses]
+    assert list(clause_lists(g.literals)) == [list(c) for c in clauses]
 
 
 def test_tables_by_literal_follow_the_stream_not_the_header():
@@ -565,7 +565,7 @@ def test_hand_built_formulas_keep_their_clauses_through_the_stream():
         assert f.clauses == clauses
         assert len(f.literals) == sum(map(len, clauses)) + f.num_clauses
         assert dimacs_read(dimacs_write(f)) == f
-        from_stream, from_tuples = Solver(nv, f.solver_clauses()), Solver(nv, clauses)
+        from_stream, from_tuples = Solver(nv, clause_lists(f.literals)), Solver(nv, clauses)
         model = from_stream.solve()
         assert model == from_tuples.solve()
         assert counters(from_stream) == counters(from_tuples)
@@ -578,13 +578,15 @@ def test_hand_built_formulas_keep_their_clauses_through_the_stream():
 
 
 def test_solver_build_shares_one_int_per_literal():
-    # the k = 6 solver holds 1.96 MB built from the stream; fed the array's
-    # items as read, every literal below -5 is an int object of its own, and
-    # it held 3.30 MB
+    # the k = 6 solver holds 1.96 MB built from the formula's stream or from
+    # the blocks `solve` streams; fed the array's items as read, every
+    # literal below -5 is an int object of its own, and it held 3.30 MB
     f = cnf_generate(6)
-    solver, held, _ = _traced(lambda: Solver(f.num_vars, f.solver_clauses()))
-    assert len(solver.clauses) == f.num_clauses
-    assert held < 2_500_000
+    for stream in (lambda: f.literals, lambda: itertools.chain.from_iterable(
+            satgen.copy_clauses(f.num_vars, satgen.doubling_gaps(6))[1])):
+        solver, held, _ = _traced(lambda: Solver(f.num_vars, clause_lists(stream())))
+        assert len(solver.clauses) == f.num_clauses
+        assert held < 2_500_000
 
 
 def test_bundled_solver_counters_on_k4():
@@ -594,6 +596,22 @@ def test_bundled_solver_counters_on_k4():
     assert (solver.conflicts, solver.decisions, solver.propagations,
             solver.restarts) == K4_COUNTERS
     assert counters(solve_external(f)) == K4_COUNTERS
+
+
+def test_solve_builds_no_formula(monkeypatch):
+    # the clauses go to the solver block by block as they are generated,
+    # and a model would be checked against regenerated blocks: no formula
+    # and no literal array is made on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve built a formula or a literal array")
+
+    monkeypatch.setattr(satgen, "copy_formula", refuse)
+    monkeypatch.setattr(satgen, "literal_stream", refuse)
+    monkeypatch.setattr(CnfFormula, "_unchecked", refuse)
+    outcomes = {k: verify_unavoidable(k) for k in (3, 4, 5)}
+    assert {out.status for out in outcomes.values()} == {"UNSAT"}
+    assert counters(outcomes[4]) == K4_COUNTERS
+    assert outcomes[5].conflicts == 1288
 
 
 def test_default_route_writes_no_dimacs_and_starts_no_process(monkeypatch):
@@ -743,41 +761,48 @@ def test_timeout_bounds_building_the_clause_masks(clock, monkeypatch):
 
 def test_timeout_bounds_generating_the_formula(clock, monkeypatch):
     # every clock read moves the fake clock by 1 s, so the 5 s deadline
-    # passes during generation; a start vertex's rows follow one read each
-    reads = []
+    # passes while the solver takes the first blocks of 24 clauses; each
+    # block follows one read, so generation sees the deadline at the first
+    # block after it, long before the solver's check at clause 1024
+    reads, added = [], []
+    real_add = Solver._add_clause
 
     def tick():
         reads.append(clock.now)
         clock.now += 1.0
         return clock.now
 
+    def add(self, clause):
+        added.append(clock.now)
+        real_add(self, clause)
+
     monkeypatch.setattr(clock, "monotonic", tick)
-    monkeypatch.setattr(Solver, "__init__", lambda self, *args, **kwargs: pytest.fail("solver built"))
+    monkeypatch.setattr(Solver, "_add_clause", add)
+    monkeypatch.setattr(Solver, "solve", lambda self: pytest.fail("search ran"))
     out = verify_unavoidable(5, timeout=5.0)
     assert out.status == "UNKNOWN" and out.model is None
+    deadline = 1.0 + 5.0   # the first read starts the call
+    assert 0 < len(added) < 1024 and len(added) % 24 == 0
+    assert max(added) <= deadline   # no clause was generated after it passed
     assert len(reads) < 2**5 - 1
 
 
-def test_timeout_after_the_last_start_vertex_builds_no_formula(clock, monkeypatch):
+def test_timeout_after_the_last_start_vertex_starts_no_search(clock, monkeypatch):
     # the clock passes the 5 s deadline after the check before the last of
-    # the 2 * 7 blocks: one read starts the call and one precedes each
-    # block, so only the check after the last one can see it
+    # the 2 * 7 blocks: one read starts the call, one precedes each block
+    # and one the solver's first clause, so only the solver's check before
+    # its first clause mask can see it
     reads = []
 
     def tick():
         reads.append(clock.now)
-        return 0.0 if len(reads) <= 1 + 2 * 7 else 10.0
-
-    class Refused:
-        @classmethod
-        def _unchecked(cls, *args):
-            pytest.fail("formula built")
+        return 0.0 if len(reads) <= 1 + 2 * 7 + 1 else 10.0
 
     monkeypatch.setattr(clock, "monotonic", tick)
-    monkeypatch.setattr(satgen, "CnfFormula", Refused)
+    monkeypatch.setattr(Solver, "solve", lambda self: pytest.fail("search ran"))
     out = verify_unavoidable(3, timeout=5.0)
     assert out.status == "UNKNOWN" and out.model is None
-    assert len(reads) == 1 + 2 * 7 + 1 + 1   # the last read times the UNKNOWN
+    assert len(reads) == 1 + 2 * 7 + 1 + 1 + 1   # the last read times the UNKNOWN
 
 
 @pytest.mark.parametrize("clause, message", [
@@ -789,17 +814,26 @@ def test_hand_built_formula_rejects_bad_clauses(clause, message):
 
 
 def test_timeout_counts_generating_the_formula(clock, monkeypatch):
-    # generation that ends after the deadline, with no check left to see it
-    real_generate = satgen.cnf_generate
+    # generation that checks no deadline and takes 1 s a block, 14 s for
+    # the 2 * 7 blocks: the solver's deadline runs from the start of the
+    # call, so its check before the first clause mask sees the 5 s pass
+    real_copy_clauses = satgen.copy_clauses
 
-    def slow_generate(k, deadline):
-        clock.now += 10.0
-        return real_generate(k)
+    def slow_copy_clauses(n, gaps, deadline):
+        num_clauses, blocks = real_copy_clauses(n, gaps)
 
-    monkeypatch.setattr(satgen, "cnf_generate", slow_generate)
-    monkeypatch.setattr(Solver, "_add_clause", lambda self, clause: pytest.fail("solver built"))
+        def slow_blocks():
+            for block in blocks:
+                clock.now += 1.0
+                yield block
+
+        return num_clauses, slow_blocks()
+
+    monkeypatch.setattr(satgen, "copy_clauses", slow_copy_clauses)
+    monkeypatch.setattr(Solver, "solve", lambda self: pytest.fail("search ran"))
     out = verify_unavoidable(3, timeout=5.0)
     assert out.status == "UNKNOWN" and out.model is None
+    assert clock.now == 2 * 7
 
 
 def test_a_distant_deadline_leaves_the_k4_search_unchanged(clock):
