@@ -1,8 +1,8 @@
 """Self-contained CDCL SAT solver over a list of clauses.
 
-`satgen` and `robust.nearly_ramsey_finite_check` build a `Solver` on the
-clause lists `satgen.clause_lists` splits from a literal stream.  The
-solver has no dependency outside the standard library and is deterministic.
+In the package only `satgen._solve` builds a `Solver`, on the clause lists
+`satgen.clause_lists` splits from a literal stream.  The solver has no
+dependency outside the standard library and is deterministic.
 
 Implements the standard loop: bit-parallel unit propagation, first unique
 implication point conflict analysis, activity-driven branching with phase

@@ -11,8 +11,8 @@ the denominators: every step of c_t, and membership in T, depends only on
 t mod q.
 
 `nearly_ramsey_finite_check` decides the finite core of the forcing
-arguments for the nearly-Ramsey triples in one search of the bundled CDCL
-solver on `satgen.copy_formula`, the clauses `solve` streams to its solver.
+arguments for the nearly-Ramsey triples with `satgen.forcing`, the query
+`solve` asks, with vertex 0 black.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Colouring, DistanceTuple
-from .detector import detect_bruteforce
 from .uniform import suitable_ts
 
 #: Largest N the finite check accepts, refused above before any work: each
@@ -83,30 +82,17 @@ def nearly_ramsey_finite_check(d: DistanceTuple, N: int) -> FiniteCheckResult:
     Verified means every such colouring contains a copy of d whose vertices
     are all red-or-black or all blue-or-black.  Fixing the black vertex at 0
     loses nothing: rotations act transitively on Z_N.  d must discretise on
-    Z_N exactly.  The black vertex matches both colours, so its literal
-    leaves every clause of `copy_formula`, and UNSAT verifies.  Otherwise
-    the model M is the least red mask.  Each decision sets false (blue) the
-    highest unassigned variable, so an x true in M was implied after
-    decisions above x only; a model agreeing with M above x meets them, the
-    formula and the learnt clauses (which follow from it), so propagation
-    sets x true in it too, whatever the restarts and backjumps.
+    Z_N exactly.  This is one `satgen.forcing` query: UNSAT verifies, and
+    otherwise its model, the least red mask, is the first counterexample an
+    ascending walk over the 2^(N-1) masks would meet.
     """
-    from .dimacs_solver import Solver   # here: importing robust loads no SAT code
-    from .satgen import ModelValidationError, clause_lists, copy_formula
+    from .satgen import forcing   # here: importing robust loads no SAT code
 
     if d.k != 3:
         raise ValueError(f"finite check is defined for triples, got k = {d.k}")
     if N > MAX_N:
         raise ValueError(f"N = {N} is above the limit {MAX_N}")
-    inst = d.on(N)
-    clauses = ([lit for lit in clause if abs(lit) != 1]
-               for clause in clause_lists(copy_formula(N, inst.gaps).literals))
-    model = Solver(N, clauses, order=range(N, 0, -1)).solve()
-    if model is None:
+    counterexample = forcing(d.on(N), black=0).model
+    if counterexample is None:
         return FiniteCheckResult(True, None, 1 << (N - 1))
-    red = sum(1 << v for v in range(1, N) if model[v + 1])
-    counterexample = Colouring(n=N, red_mask=red, black=0)
-    witness = detect_bruteforce(counterexample, inst)
-    if witness is not None:
-        raise ModelValidationError(f"counterexample on Z_{N} holds the copy {witness}")
-    return FiniteCheckResult(False, counterexample, red // 2 + 1)
+    return FiniteCheckResult(False, counterexample, counterexample.red_mask // 2 + 1)

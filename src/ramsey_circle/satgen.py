@@ -22,8 +22,9 @@ it has not read before goes through int() and the range check.
 
 The bundled CDCL solver (`dimacs_solver.Solver`) runs in-process on the
 clause lists `clause_lists` splits from a literal stream: a formula's, or
-the blocks of `copy_clauses` as they are made, so `solve` builds no
-formula; a SAT model is checked against the stream made again.
+the blocks of `copy_clauses` as they are made.  `forcing`, the one query
+behind `solve` and `nearly-ramsey`, builds no formula; a SAT model is
+checked against the stream made again and then by the detector.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .core import Colouring, ParseError, discretize, power_tuple
+from .core import Colouring, DiscreteInstance, ParseError
 from .detector import detect_bruteforce
 
 MIN_K = 3
@@ -294,17 +295,30 @@ def dimacs_read(text: str) -> CnfFormula:
 
 
 def _solve(num_vars: int, stream: Callable[[Optional[float]], Iterable[int]],
-           timeout: Optional[float]) -> SolverOutcome:
+           timeout: Optional[float], black: Optional[int] = None) -> SolverOutcome:
     """Solve the literal stream `stream(deadline)` with the bundled solver
     in-process.  A timeout, bounding the stream and the solver's build as
     well as the search, gives UNKNOWN with no counters.  A SAT model is
-    checked against every clause of `stream(None)`, then decoded."""
+    checked against every clause of `stream(None)`, then decoded.
+
+    A `black` vertex matches both colours: its literal leaves every clause,
+    its bit of the model is clear, and each decision sets false (blue) the
+    highest unassigned variable.  So the model M is the least red mask: an
+    x true in M was implied after decisions above x only; a model agreeing
+    with M above x meets them, the formula and the learnt clauses (which
+    follow from it), so propagation sets x true in it too, whatever the
+    restarts and backjumps.
+    """
     from .dimacs_solver import Solver   # here: importing satgen, and so the CLI, loads no solver
 
+    order = None
+    if black is not None:
+        order, source, dropped = range(num_vars, 0, -1), stream, {black + 1, -black - 1}
+        stream = lambda deadline: itertools.filterfalse(dropped.__contains__, source(deadline))
     started = time.monotonic()
     deadline = None if timeout is None else started + timeout
     try:
-        solver = Solver(num_vars, clause_lists(stream(deadline)), deadline)
+        solver = Solver(num_vars, clause_lists(stream(deadline)), deadline, order)
         model = solver.solve()
     except TimeoutError:
         return SolverOutcome(status="UNKNOWN", model=None, solver_time=time.monotonic() - started)
@@ -315,7 +329,7 @@ def _solve(num_vars: int, stream: Callable[[Optional[float]], Iterable[int]],
             if not any(model[abs(lit)] == (lit > 0) for lit in clause):
                 raise ModelValidationError(f"model falsifies clause {tuple(clause)}")
         colouring = Colouring(n=num_vars, red_mask=sum(
-            1 << (var - 1) for var in range(1, num_vars + 1) if model[var]))
+            1 << v for v in range(num_vars) if model[v + 1] and v != black), black=black)
     return SolverOutcome(status="UNSAT" if model is None else "SAT", model=colouring,
                          solver_time=elapsed, **{name: getattr(solver, name) for name in (
                              "conflicts", "decisions", "propagations", "restarts")})
@@ -326,23 +340,23 @@ def solve_external(f: CnfFormula, timeout: Optional[float] = None) -> SolverOutc
     return _solve(f.num_vars, lambda deadline: f.literals, timeout)
 
 
-def verify_unavoidable(k: int, timeout: Optional[float] = None) -> SolverOutcome:
-    """Solve the copy clauses of the doubling tuple for k as `copy_clauses`
-    generates them, with no formula built (see `_solve`).
-
-    UNSAT: every two-colouring of the (2^k - 1)-gon contains a
-    monochromatic copy of the doubling tuple.  SAT: the model is a
-    counterexample colouring; it is re-checked with the detector first, and
-    a model that still contains a monochromatic copy means the pipeline
-    (not the mathematics) is broken.
+def forcing(inst: DiscreteInstance, *, black: Optional[int] = None,
+            timeout: Optional[float] = None) -> SolverOutcome:
+    """Whether every two-colouring of Z_n, with a `black` vertex matching
+    both colours, holds a monochromatic copy of inst: UNSAT if so, else SAT
+    with a colouring that holds none (the least, with `black`).  The
+    `copy_clauses` blocks go to `_solve` as they are made, and its model is
+    re-checked with the detector: one holding a copy is a broken pipeline.
     """
-    n, gaps = 2**k - 1, doubling_gaps(k)
-    outcome = _solve(n, lambda deadline: itertools.chain.from_iterable(
-        copy_clauses(n, gaps, deadline)[1]), timeout)
-    if outcome.status == "SAT":
-        witness = detect_bruteforce(outcome.model, discretize(power_tuple(k)))
-        if witness is not None:
-            raise ModelValidationError(
-                f"solver model for k={k} still contains the monochromatic copy "
-                f"{witness}; the encoding or solver pipeline is broken")
+    outcome = _solve(inst.n, lambda deadline: itertools.chain.from_iterable(
+        copy_clauses(inst.n, inst.gaps, deadline)[1]), timeout, black)
+    if outcome.model is not None and (witness := detect_bruteforce(outcome.model, inst)):
+        raise ModelValidationError(f"solver model on Z_{inst.n} holds the copy {witness}: "
+                                   "the encoding or solver pipeline is broken")
     return outcome
+
+
+def verify_unavoidable(k: int, timeout: Optional[float] = None) -> SolverOutcome:
+    """`forcing` on the doubling tuple for k: UNSAT means every
+    two-colouring of the (2^k - 1)-gon contains a monochromatic copy."""
+    return forcing(DiscreteInstance(2**k - 1, doubling_gaps(k)), timeout=timeout)

@@ -526,9 +526,9 @@ def test_nearly_ramsey_above_the_limit_is_refused_before_any_work(capsys, monkey
     from ramsey_circle import robust, satgen
 
     def never(*args):
-        raise AssertionError("the formula was built")
+        raise AssertionError("the clauses were generated")
 
-    monkeypatch.setattr(satgen, "copy_formula", never)
+    monkeypatch.setattr(satgen, "copy_clauses", never)
     for json_flag in ([], ["--json"]):
         argv = [*json_flag, "nearly-ramsey", "--gaps", "1/2,1/4,1/4", "--n", "260"]
         assert dispatch(argv) == EXIT_ERROR

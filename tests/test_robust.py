@@ -1,5 +1,6 @@
 """Suitability of uniform parameters and finite wildcard forcing."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,7 +11,7 @@ from ramsey_circle import dimacs_solver, satgen
 from ramsey_circle.core import DistanceTuple, power_tuple
 from ramsey_circle.robust import (MAX_N, nearly_ramsey_finite_check,
                                   strongly_suitable_search, t_set_empty)
-from ramsey_circle.satgen import CnfFormula, ModelValidationError
+from ramsey_circle.satgen import ModelValidationError
 from ramsey_circle.uniform import suitability
 
 HALF_THIRD_SIXTH = DistanceTuple((F(1, 2), F(1, 3), F(1, 6)))
@@ -130,9 +131,9 @@ def test_finite_check_needs_fitting_grid(monkeypatch):
         nearly_ramsey_finite_check(NEARLY_RAMSEY[0], 9)
 
     def never(*args):
-        raise AssertionError("the formula was built")
+        raise AssertionError("the clauses were generated")
 
-    monkeypatch.setattr(satgen, "copy_formula", never)
+    monkeypatch.setattr(satgen, "copy_clauses", never)
     # a fitting N above the limit is refused before any work
     with pytest.raises(ValueError, match=f"above the limit {MAX_N}"):
         nearly_ramsey_finite_check(DistanceTuple((F(1, 2), F(1, 4), F(1, 4))), 260)
@@ -141,13 +142,13 @@ def test_finite_check_needs_fitting_grid(monkeypatch):
 def test_finite_check_rejects_a_counterexample_holding_a_copy(monkeypatch):
     # a broken encoding that keeps only the clauses forbidding all-red copies
     # yields the all-blue colouring, which the detector re-check refuses
-    real = satgen.copy_formula
+    real = satgen.copy_clauses
 
-    def negated_half(n, gaps):
-        f = real(n, gaps)
-        return CnfFormula(f.num_vars, f.clauses[f.num_clauses // 2:])
+    def negated_half(n, gaps, deadline=None):
+        count, blocks = real(n, gaps, deadline)
+        return count // 2, itertools.islice(blocks, n, None)
 
-    monkeypatch.setattr(satgen, "copy_formula", negated_half)
+    monkeypatch.setattr(satgen, "copy_clauses", negated_half)
     with pytest.raises(ModelValidationError, match="holds the copy"):
         nearly_ramsey_finite_check(NEARLY_RAMSEY[0], 8)
 

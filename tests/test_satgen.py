@@ -686,14 +686,32 @@ def test_minimality_is_two_clause_grained_at_k3():
 
 def test_lying_model_is_rejected(monkeypatch, capsys):
     # all red falsifies every negative clause: a model the solver got wrong
-    # is an error, never a verdict
-    monkeypatch.setattr(dimacs_solver.Solver, "solve", lambda self: [False] + [True] * 7)
+    # is an error, never a verdict, on both routes of `forcing`
+    monkeypatch.setattr(dimacs_solver.Solver, "solve", lambda self: [False] + [True] * self.nv)
     with pytest.raises(ModelValidationError, match="model falsifies clause"):
         solve_external(cnf_generate(3))
+    for argv in (["solve", "--k", "3"], ["nearly-ramsey", "--gaps", "5/8,1/4,1/8", "--n", "8"]):
+        assert dispatch(["--json", *argv]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: model falsifies clause")
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_solve_rejects_a_model_holding_a_copy(monkeypatch, capsys):
+    # only the clauses forbidding all-red copies: every model of them holds
+    # an all-blue copy, which the detector re-check refuses
+    real = satgen.copy_clauses
+
+    def negated_half(n, gaps, deadline=None):
+        count, blocks = real(n, gaps, deadline)
+        return count // 2, itertools.islice(blocks, n, None)
+
+    monkeypatch.setattr(satgen, "copy_clauses", negated_half)
     assert dispatch(["--json", "solve", "--k", "3"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: model falsifies clause")
+    assert captured.err.startswith("error: ") and "holds the copy" in captured.err
     assert len(captured.err.splitlines()) == 1
 
 
