@@ -32,14 +32,14 @@ from typing import Iterable, Optional, Sequence
 class Solver:
     """CDCL search over `clauses`.  After `solve()`, `conflicts`,
     `decisions`, `propagations` (trail literals propagated) and `restarts`
-    count the work it did.  Building and solving raise TimeoutError once
-    `time.monotonic()` passes `deadline`.  `order`, if given, lists every
-    variable, and each decision sets the first unassigned one in it false."""
+    count the work it did.  Building (drawing `clauses`) and solving raise
+    TimeoutError `timeout` seconds after construction.  `order`, if given,
+    lists every variable; each decision sets the first unassigned one false."""
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]],
-                 deadline: Optional[float] = None, order: Optional[Sequence[int]] = None):
+                 timeout: Optional[float] = None, order: Optional[Sequence[int]] = None):
         self.nv = num_vars
-        self.deadline = deadline
+        self.deadline = deadline = None if timeout is None else time.monotonic() + timeout
         self.order = order
         self.val = [0] * (2 * num_vars + 1)
         self.clauses: list[list[int]] = []

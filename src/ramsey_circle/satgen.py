@@ -11,11 +11,10 @@ clauses in order, each ended by a 0 (after MiniSat's clause region), whose
 items are as narrow as its variable count allows: `literal_stream` gives 1
 byte a slot up to 127 variables, 2 up to 32 767 and 4 up to `MAX_VARS`, so
 k = 7 takes 1.5 MB.  `copy_clauses` gives the clause count up front and
-then the stream in 2n blocks, one per start vertex and sign, checking a
-deadline before each.  `dimacs_text`, the one DIMACS writer, gives the text
-a block at a time: `cnf` writes it as the blocks are generated, so it never
-holds more than one, and `dimacs_write` joins it over a whole formula's
-stream.
+then the stream in 2n blocks, one per start vertex and sign, each made as
+it is taken.  `dimacs_text`, the one DIMACS writer, gives the text a block
+at a time: `cnf` writes it as the blocks are generated, so it never holds
+more than one, and `dimacs_write` joins it over a whole formula's stream.
 `dimacs_read`, the one DIMACS parser, splits its text into lines a block of
 about 64 KiB at a time and appends each literal to the stream; only a token
 it has not read before goes through int() and the range check.
@@ -82,10 +81,16 @@ def clause_lists(literals: Iterable[int]) -> Iterator[list[int]]:
     """The clauses of a 0-terminated literal stream as lists, each literal
     one int shared by all its occurrences: reading an array makes a new int
     for every item outside -5..256, and a solver keeps each one it is given.
-    A stream holds no empty clause, so it ends at the first empty list."""
+    Every 0 ends a clause, an empty one too, and a last one may lack its 0."""
     shared = _LiteralTable(lambda lit: lit)
-    lits = map(shared.__getitem__, literals)
-    while clause := list(iter(lits.__next__, 0)):
+    clause: list[int] = []
+    for lit in map(shared.__getitem__, literals):
+        if lit:
+            clause.append(lit)
+        else:
+            yield clause
+            clause = []
+    if clause:
         yield clause
 
 
@@ -146,8 +151,7 @@ class SolverOutcome:
             raise ValueError("model must be present exactly when status is SAT")
 
 
-def copy_clauses(n: int, gaps: Sequence[int], deadline: Optional[float] = None
-                 ) -> tuple[int, Iterator[tuple[int, ...]]]:
+def copy_clauses(n: int, gaps: Sequence[int]) -> tuple[int, Iterator[tuple[int, ...]]]:
     """The clause count of `copy_formula(n, gaps)` and its literal stream in
     2n blocks.
 
@@ -155,24 +159,20 @@ def copy_clauses(n: int, gaps: Sequence[int], deadline: Optional[float] = None
     the remaining gaps, each once), which meets every copy, and each copy
     of distinct gaps once, so the count is 2 n (number of orderings).  The
     blocks hold the positive clauses of each start vertex, then the negated
-    ones of each start vertex, each clause ended by a 0; they are built as
-    they are taken, and TimeoutError is raised once `time.monotonic()`
-    passes `deadline`, checked before each block.
-    """
+    ones of each start vertex, each clause ended by a 0, and are made as
+    they are taken."""
     # One getter for a whole block: per ordering of the gaps after the
     # largest, the offsets of the copy's vertices from the start vertex and
     # then n.  The start-v row holds the literal of vertex v + o at position
     # o < n and the 0 that ends a clause at n.
     orderings = dict.fromkeys(itertools.permutations(gaps[1:]))
     block = operator.itemgetter(*itertools.chain.from_iterable(
-        (*itertools.accumulate((gaps[0],) + rest[:-1], initial=0), n) for rest in orderings))
+        (*itertools.accumulate(((gaps[0],) + rest)[:-1], initial=0), n) for rest in orderings))
 
     def blocks():
         for sign in (1, -1):
             literal = [sign * (v % n + 1) for v in range(2 * n)]
             for v in range(n):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutError("deadline passed while generating the formula")
                 yield block(literal[v:v + n] + [0])
 
     return 2 * n * len(orderings), blocks()
@@ -294,12 +294,12 @@ def dimacs_read(text: str) -> CnfFormula:
     return CnfFormula._unchecked(num_vars, literals, num_clauses)   # every token checked above
 
 
-def _solve(num_vars: int, stream: Callable[[Optional[float]], Iterable[int]],
+def _solve(num_vars: int, stream: Callable[[], Iterable[int]],
            timeout: Optional[float], black: Optional[int] = None) -> SolverOutcome:
-    """Solve the literal stream `stream(deadline)` with the bundled solver
-    in-process.  A timeout, bounding the stream and the solver's build as
-    well as the search, gives UNKNOWN with no counters.  A SAT model is
-    checked against every clause of `stream(None)`, then decoded.
+    """Solve the literal stream `stream()` with the bundled solver
+    in-process.  The solver's timeout, bounding its build (which draws the
+    stream) as well as the search, gives UNKNOWN with no counters.  A SAT
+    model is checked against every clause of a second `stream()`, then decoded.
 
     A `black` vertex matches both colours: its literal leaves every clause,
     its bit of the model is clear, and each decision sets false (blue) the
@@ -314,18 +314,17 @@ def _solve(num_vars: int, stream: Callable[[Optional[float]], Iterable[int]],
     order = None
     if black is not None:
         order, source, dropped = range(num_vars, 0, -1), stream, {black + 1, -black - 1}
-        stream = lambda deadline: itertools.filterfalse(dropped.__contains__, source(deadline))
+        stream = lambda: itertools.filterfalse(dropped.__contains__, source())
     started = time.monotonic()
-    deadline = None if timeout is None else started + timeout
     try:
-        solver = Solver(num_vars, clause_lists(stream(deadline)), deadline, order)
+        solver = Solver(num_vars, clause_lists(stream()), timeout, order)
         model = solver.solve()
     except TimeoutError:
         return SolverOutcome(status="UNKNOWN", model=None, solver_time=time.monotonic() - started)
     elapsed = time.monotonic() - started
     colouring = None
     if model is not None:
-        for clause in clause_lists(stream(None)):
+        for clause in clause_lists(stream()):
             if not any(model[abs(lit)] == (lit > 0) for lit in clause):
                 raise ModelValidationError(f"model falsifies clause {tuple(clause)}")
         colouring = Colouring(n=num_vars, red_mask=sum(
@@ -337,7 +336,7 @@ def _solve(num_vars: int, stream: Callable[[Optional[float]], Iterable[int]],
 
 def solve_external(f: CnfFormula, timeout: Optional[float] = None) -> SolverOutcome:
     """Solve f with the bundled solver in-process (see `_solve`)."""
-    return _solve(f.num_vars, lambda deadline: f.literals, timeout)
+    return _solve(f.num_vars, lambda: f.literals, timeout)
 
 
 def forcing(inst: DiscreteInstance, *, black: Optional[int] = None,
@@ -348,8 +347,8 @@ def forcing(inst: DiscreteInstance, *, black: Optional[int] = None,
     `copy_clauses` blocks go to `_solve` as they are made, and its model is
     re-checked with the detector: one holding a copy is a broken pipeline.
     """
-    outcome = _solve(inst.n, lambda deadline: itertools.chain.from_iterable(
-        copy_clauses(inst.n, inst.gaps, deadline)[1]), timeout, black)
+    outcome = _solve(inst.n, lambda: itertools.chain.from_iterable(
+        copy_clauses(inst.n, inst.gaps)[1]), timeout, black)
     if outcome.model is not None and (witness := detect_bruteforce(outcome.model, inst)):
         raise ModelValidationError(f"solver model on Z_{inst.n} holds the copy {witness}: "
                                    "the encoding or solver pipeline is broken")

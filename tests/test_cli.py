@@ -21,7 +21,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from _reference import prefix_order, run_sweep_item_in_subprocess, uniform_grid_copy
-from ramsey_circle import beatty, cli, robust, satgen
+from ramsey_circle import beatty, cli, majority, robust, satgen, uniform
 from ramsey_circle.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK,
                                EXIT_REFUTATION, MAX_T, dispatch)
 from ramsey_circle.core import DistanceTuple, power_tuple
@@ -156,6 +156,64 @@ def test_check_answers_eight_hundred_repeated_gaps(capsys, tmp_path):
 def test_check_dimension_mismatch_is_usage_error(capsys, split7):
     code = dispatch(["check", "--input", split7, "--gaps", "3,2,1"])
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty colouring file (line 1)"),
+    ("seven\nRRR\n", "expected vertex count, got 'seven' (line 1)"),
+    ("7\n", "missing colour line (line 2)"),
+    ("3\nRRB\nblack x\n", "expected 'black <index>', got 'black x' (line 3)"),
+    ("3\nRRB\nblack 3\n", "black index 3 out of range [0, 3) (line 3)"),
+    ("3\nRRB\nblack 0\nRRB\n", "unexpected trailing content (line 4)"),
+], ids=["empty", "count", "no-colours", "black-line", "black-index", "trailing"])
+def test_malformed_colouring_file_is_usage_error(capsys, tmp_path, text, message):
+    path = tmp_path / "colouring.txt"
+    path.write_text(text, encoding="utf-8")
+    assert dispatch(["check", "--input", str(path), "--gaps", "1,1,1"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, module, name, stand_in, verdict", [
+    (["solve", "--k", "3"], satgen, "doubling_gaps", lambda k: (5, 1, 1),
+     {"status": "SAT", "model": "7\nBBRBBRR\n"}),
+    (["nearly-ramsey", "--gaps", "1/3,1/3,1/3", "--n", "30"], robust,
+     "is_claimed_nearly_ramsey", lambda d: True,
+     {"verified": False, "counterexample": "30\nB" + "R" * 10 + "B" * 19 + "\nblack 0\n"}),
+    (["majority", "--k", "6", "--eps", "1/112"], majority, "find_copy_in_class",
+     lambda mask, n, gaps: ((0, 1, 3), (1, 2, 4)),
+     {"no_red_copy": False, "witness": {"vertices": [0, 1, 3], "gap_order": [1, 2, 4],
+                                        "colour": "Red"}}),
+], ids=["solve", "nearly-ramsey", "majority"])
+def test_a_broken_claim_is_a_refutation(capsys, monkeypatch, argv, module, name, stand_in,
+                                        verdict):
+    # one stand-in breaks each claim: a SAT doubling formula (here of the
+    # tuple (5, 1, 1)), a counterexample to a triple claimed nearly Ramsey
+    # (the real one on Z_30), a red copy on the majority grid
+    monkeypatch.setattr(module, name, stand_in)
+    code, body = run_json(capsys, argv)
+    assert code == EXIT_REFUTATION
+    assert body == {**body, "command": argv[0], **verdict}
+    assert dispatch(argv) == EXIT_REFUTATION
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("REFUTATION: ")
+    assert sum(line.startswith("REFUTATION") for line in lines) == 1
+
+
+def test_a_refutation_raised_by_a_command_exits_3(capsys, monkeypatch):
+    # a uniform colouring free of the doubling tuple contradicts the
+    # verified small cases, so `nonpower_witness` raises and `dispatch`
+    # reports it on stderr
+    monkeypatch.setattr(uniform, "suitable_ts", lambda d, max_t, strong=False: iter([1]))
+    argv = ["witness-search", "--gaps", "4/7,2/7,1/7", "--max-t", "5"]
+    for json_flag in (["--json"], []):
+        assert dispatch([*json_flag, *argv]) == EXIT_REFUTATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("REFUTATION: uniform colouring c_1 contains no "
+                                       "monochromatic copy of the k=3 doubling tuple")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_missing_file_is_usage_error(capsys):

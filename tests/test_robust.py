@@ -144,8 +144,8 @@ def test_finite_check_rejects_a_counterexample_holding_a_copy(monkeypatch):
     # yields the all-blue colouring, which the detector re-check refuses
     real = satgen.copy_clauses
 
-    def negated_half(n, gaps, deadline=None):
-        count, blocks = real(n, gaps, deadline)
+    def negated_half(n, gaps):
+        count, blocks = real(n, gaps)
         return count // 2, itertools.islice(blocks, n, None)
 
     monkeypatch.setattr(satgen, "copy_clauses", negated_half)

@@ -12,7 +12,7 @@ from _reference import dimacs_plain, dpll_sat
 
 from ramsey_circle import dimacs_solver, satgen
 from ramsey_circle.cli import EXIT_ERROR, dispatch
-from ramsey_circle.core import Colouring, ParseError, discretize, power_tuple
+from ramsey_circle.core import Colouring, DiscreteInstance, ParseError, discretize, power_tuple
 from ramsey_circle.detector import detect_bruteforce
 from ramsey_circle.dimacs_solver import Solver
 from ramsey_circle.satgen import (CnfFormula, ModelValidationError, clause_lists,
@@ -60,10 +60,12 @@ def test_each_copy_encoded_once():
 
 @pytest.mark.parametrize("n, gaps", [
     (6, (2, 2, 2)), (8, (3, 3, 2)), (10, (4, 3, 3)), (12, (3, 3, 3, 3)), (7, (4, 2, 1)),
+    (5, (5,)), (5, (3, 2)),
 ])
 def test_copy_formula_has_both_clauses_of_every_copy(n, gaps):
-    # repeated gaps included: every copy, from any start in any order, has
-    # its positive and its negated clause, and every clause is a copy
+    # repeated gaps and one or two gaps included: every copy, from any start
+    # in any order, has its positive and its negated clause, and every
+    # clause is a copy
     f = copy_formula(n, gaps)
     assert f.num_vars == n
     copies = {frozenset((v + sum(order[:i])) % n for i in range(len(order)))
@@ -663,6 +665,46 @@ def test_solve_k3_unsat():
     assert out.solver_time >= 0
 
 
+def least_copy_free_mask(inst, black):
+    """The least red mask whose colouring, with vertex `black` (None or 0)
+    matching both colours, holds no copy, by the detector over every mask;
+    None when every colouring holds one."""
+    masks = range(0, 1 << inst.n, 1 if black is None else 2)   # black 0's bit clear
+    return next((mask for mask in masks
+                 if detect_bruteforce(Colouring(inst.n, mask, black), inst) is None), None)
+
+
+@pytest.mark.parametrize("black", [None, 0])
+def test_forcing_matches_the_exhaustive_oracle(black):
+    # seeded instances of 1-4 non-increasing gaps on Z_n, n <= 10, one-gap
+    # ones (a single-vertex copy) included
+    rng = random.Random(2024)
+    verdicts = {"SAT": 0, "UNSAT": 0}
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(4, n)) - 1))
+        gaps = sorted((b - a for a, b in zip([0, *cuts], [*cuts, n])), reverse=True)
+        inst = DiscreteInstance(n, gaps)
+        least = least_copy_free_mask(inst, black)
+        out = satgen.forcing(inst, black=black)
+        assert out.status == ("UNSAT" if least is None else "SAT"), inst
+        if out.model is not None:
+            assert detect_bruteforce(out.model, inst) is None
+            if black is not None:
+                assert out.model.red_mask == least, inst
+        verdicts[out.status] += 1
+    assert min(verdicts.values()) >= 15, verdicts
+    # one vertex is a copy of (5,), so each colouring holds one
+    assert satgen.forcing(DiscreteInstance(5, (5,)), black=black).status == "UNSAT"
+
+
+def test_every_0_ends_a_clause():
+    # an empty clause is one more clause, not the end of the stream, and
+    # the solver reads it as UNSAT; a last clause without its 0 is kept
+    assert list(clause_lists([1, 0, 0, -2, 3, 0, 4])) == [[1], [], [-2, 3], [4]]
+    assert Solver(2, clause_lists([1, 2, 0, 0, -1, 0])).solve() is None
+
+
 def test_minimality_is_two_clause_grained_at_k3():
     # Deleting a single clause keeps the formula unsatisfiable: a model
     # would have exactly one monochromatic copy, and copy counts are
@@ -703,8 +745,8 @@ def test_solve_rejects_a_model_holding_a_copy(monkeypatch, capsys):
     # an all-blue copy, which the detector re-check refuses
     real = satgen.copy_clauses
 
-    def negated_half(n, gaps, deadline=None):
-        count, blocks = real(n, gaps, deadline)
+    def negated_half(n, gaps):
+        count, blocks = real(n, gaps)
         return count // 2, itertools.islice(blocks, n, None)
 
     monkeypatch.setattr(satgen, "copy_clauses", negated_half)
@@ -774,53 +816,37 @@ def test_timeout_bounds_building_the_clause_masks(clock, monkeypatch):
     monkeypatch.setattr(Solver, "_add_clause", add)
     f = cnf_generate(3)
     with pytest.raises(TimeoutError, match="clause masks"):
-        Solver(f.num_vars, f.clauses, deadline=5.0)
+        Solver(f.num_vars, f.clauses, timeout=5.0)
+
+
+def slow_blocks(clock, monkeypatch) -> list:
+    """Make `copy_clauses` blocks, which check no deadline, take 1 s each
+    on the fake clock; the list returned fills with the blocks drawn."""
+    real_copy_clauses, drawn = satgen.copy_clauses, []
+
+    def slow_copy_clauses(n, gaps):
+        num_clauses, blocks = real_copy_clauses(n, gaps)
+
+        def slow():
+            for block in blocks:
+                drawn.append(block)
+                clock.now += 1.0
+                yield block
+
+        return num_clauses, slow()
+
+    monkeypatch.setattr(satgen, "copy_clauses", slow_copy_clauses)
+    return drawn
 
 
 def test_timeout_bounds_generating_the_formula(clock, monkeypatch):
-    # every clock read moves the fake clock by 1 s, so the 5 s deadline
-    # passes while the solver takes the first blocks of 24 clauses; each
-    # block follows one read, so generation sees the deadline at the first
-    # block after it, long before the solver's check at clause 1024
-    reads, added = [], []
-    real_add = Solver._add_clause
-
-    def tick():
-        reads.append(clock.now)
-        clock.now += 1.0
-        return clock.now
-
-    def add(self, clause):
-        added.append(clock.now)
-        real_add(self, clause)
-
-    monkeypatch.setattr(clock, "monotonic", tick)
-    monkeypatch.setattr(Solver, "_add_clause", add)
+    # the 5 s deadline passes in the sixth of the 62 blocks of 24 clauses;
+    # the solver's check at clause 1024, in block 43, stops the walk there
+    drawn = slow_blocks(clock, monkeypatch)
     monkeypatch.setattr(Solver, "solve", lambda self: pytest.fail("search ran"))
     out = verify_unavoidable(5, timeout=5.0)
     assert out.status == "UNKNOWN" and out.model is None
-    deadline = 1.0 + 5.0   # the first read starts the call
-    assert 0 < len(added) < 1024 and len(added) % 24 == 0
-    assert max(added) <= deadline   # no clause was generated after it passed
-    assert len(reads) < 2**5 - 1
-
-
-def test_timeout_after_the_last_start_vertex_starts_no_search(clock, monkeypatch):
-    # the clock passes the 5 s deadline after the check before the last of
-    # the 2 * 7 blocks: one read starts the call, one precedes each block
-    # and one the solver's first clause, so only the solver's check before
-    # its first clause mask can see it
-    reads = []
-
-    def tick():
-        reads.append(clock.now)
-        return 0.0 if len(reads) <= 1 + 2 * 7 + 1 else 10.0
-
-    monkeypatch.setattr(clock, "monotonic", tick)
-    monkeypatch.setattr(Solver, "solve", lambda self: pytest.fail("search ran"))
-    out = verify_unavoidable(3, timeout=5.0)
-    assert out.status == "UNKNOWN" and out.model is None
-    assert len(reads) == 1 + 2 * 7 + 1 + 1 + 1   # the last read times the UNKNOWN
+    assert len(drawn) == 1024 // 24 + 1 < 2 * 31
 
 
 @pytest.mark.parametrize("clause, message", [
@@ -832,26 +858,14 @@ def test_hand_built_formula_rejects_bad_clauses(clause, message):
 
 
 def test_timeout_counts_generating_the_formula(clock, monkeypatch):
-    # generation that checks no deadline and takes 1 s a block, 14 s for
-    # the 2 * 7 blocks: the solver's deadline runs from the start of the
-    # call, so its check before the first clause mask sees the 5 s pass
-    real_copy_clauses = satgen.copy_clauses
-
-    def slow_copy_clauses(n, gaps, deadline):
-        num_clauses, blocks = real_copy_clauses(n, gaps)
-
-        def slow_blocks():
-            for block in blocks:
-                clock.now += 1.0
-                yield block
-
-        return num_clauses, slow_blocks()
-
-    monkeypatch.setattr(satgen, "copy_clauses", slow_copy_clauses)
+    # 14 s for the 2 * 7 blocks of 2 clauses, all drawn before the check
+    # at clause 1024: the solver's deadline runs from its construction, so
+    # its check before the first clause mask sees the 5 s pass
+    drawn = slow_blocks(clock, monkeypatch)
     monkeypatch.setattr(Solver, "solve", lambda self: pytest.fail("search ran"))
     out = verify_unavoidable(3, timeout=5.0)
     assert out.status == "UNKNOWN" and out.model is None
-    assert clock.now == 2 * 7
+    assert len(drawn) == 2 * 7 and clock.now == 2 * 7
 
 
 def test_a_distant_deadline_leaves_the_k4_search_unchanged(clock):
