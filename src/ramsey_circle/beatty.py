@@ -11,9 +11,10 @@ Both notions concern infinite objects.  Every alpha is a Fraction, so with
 p the common numerator of the alphas the owners of v and v + p agree once v
 is past the sequences' starts (see `partition_check`): the verdict on any
 range [0, M) is read from the exact prefix [0, min(M, V0 + p)), whatever M
-is, and the owner word is that prefix extended by its last period.  A
-periodic word is balanced exactly when each letter passes a range test over
-one period (see `balanced_check`).
+is, and the owner word is that prefix extended by its last period.  The
+prefix's owner list is all the marking holds.  A periodic word is balanced
+exactly when each letter's walk passes a range test over one period, and
+the walks of the letters that fail give the witness (see `balanced_check`).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import Optional, Sequence
 from .core import power_tuple
 
 #: Longest owner list or word the module builds, refused above before it is
-#: allocated: the prefix that `partition_check` marks, the word of
-#: `word_from_pair`, and so the 2p-long word of `fraenkel_diagnostics`
-#: (p <= 10^6).  Marking 2 * 10^6 owners takes about 0.4 s.
+#: allocated: the prefix that `partition_check` marks (the only O(L) state
+#: it holds), the word of `word_from_pair`, and so the 2p-long word of
+#: `fraenkel_diagnostics` (p <= 10^6).  Marking 2 * 10^6 owners: ~0.4 s.
 MAX_WORD_LENGTH = 2 * 10**6
 
 
@@ -119,14 +120,16 @@ def _check_length(length: int) -> None:
 
 def _mark_prefix(pair: BeattyPair, M: int) -> tuple[list[int], PartitionVerdict]:
     """Owners (1-based, 0 = none) of the exact prefix [0, min(M, V0 + p))
-    and the partition verdict on [0, M); see `partition_check`."""
+    and the partition verdict on [0, M); see `partition_check`.  Only the
+    least collision is held: a sequence's values never decrease, so it
+    stops marking at its first one."""
     if M < 1:
         raise ValueError("M must be >= 1")
     v0 = max(0, max(math.floor(b) for b in pair.betas) + 1)
     L = min(M, v0 + pair.common_numerator())
     _check_length(L)
     owners = [0] * L
-    collisions = []
+    least = (L, 0, 0)   # above every collision
     for i, (alpha, beta) in enumerate(zip(pair.alphas, pair.betas), start=1):
         a = alpha.numerator * beta.denominator
         b = beta.numerator * alpha.denominator
@@ -135,11 +138,11 @@ def _mark_prefix(pair: BeattyPair, M: int) -> tuple[list[int], PartitionVerdict]
         for n in range(max(0, -(b // a)), -((b - L * den) // a)):
             value = (a * n + b) // den
             if owners[value]:
-                collisions.append((value, owners[value], i))
-            else:
-                owners[value] = i
-    if collisions:
-        value, i, j = min(collisions)
+                least = min(least, (value, owners[value], i))
+                break
+            owners[value] = i
+    if least[0] < L:
+        value, i, j = least
         return owners, PartitionVerdict(kind="collision", value=value, sequences=(i, j))
     if 0 in owners:
         return owners, PartitionVerdict(kind="gap", value=owners.index(0))
@@ -226,54 +229,43 @@ class BalanceVerdict:
     positions: Optional[tuple[int, int]] = None
 
 
-def _is_mechanical(w: BalancedWord) -> bool:
-    """Range test per letter: with q occurrences of letter a per period p
-    and f(j) = p * #a(s_0 ... s_{j-1}) - q * j, need max f - min f < p."""
-    p = w.period_length
-    for a in range(1, w.k + 1):
-        q = w.period.count(a)
-        f = list(accumulate(((p if s == a else 0) - q for s in w.period), initial=0))
-        if max(f) - min(f) >= p:
-            return False
-    return True
-
-
 def balanced_check(w: BalancedWord) -> BalanceVerdict:
     """Check the balance condition on the periodic word.
 
     A periodic word is balanced exactly when it is mechanical (Lothaire,
     Algebraic Combinatorics on Words, ch. 2; Altman, Gaujal and Hordijk,
-    JACM 2000), which one pass per letter decides.  With f as in
-    `_is_mechanical`, f is p-periodic and p times the count of letter a in
+    JACM 2000), which one walk per letter decides.  With q occurrences of
+    letter a per period p, the walk f(j) = p * #a(s_0 ... s_{j-1}) - q * j
+    has f(p) = f(0) = 0, so it is p-periodic, and p times the count of a in
     the window of length l at s is f(s + l) - f(s) + q l.  Those counts
     average q l / p over the starts, so they take at most two adjacent
     values exactly when they all lie in {floor(q l / p), ceil(q l / p)},
-    that is when every difference f(x) - f(y) is below p in absolute value.
+    that is when every difference f(x) - f(y) is below p in absolute
+    value: the range test max f - min f < p over one period.
 
-    Only a word that fails the test is searched for a witness: by
-    periodicity it suffices to compare the windows of each length
-    l in [1, p] whose start lies in [0, p); the first violating
-    (length, letter) is reported with a maximal and a minimal window start.
+    A letter that passes has no bad window.  The walk of each letter that
+    fails is extended to two periods; length l in [1, p] outer and letter
+    inner, l violates when f(s + l) - f(s) over the starts s in [0, p)
+    spreads by more than p, and the first violation is reported with the
+    first starts of a window holding the most and the fewest a.
     """
-    if _is_mechanical(w):
-        return BalanceVerdict(balanced=True)
     p = w.period_length
-    ext = w.period + w.period
-    prefixes = {}
+    walks = {}
     for a in range(1, w.k + 1):
-        pref = [0] * (2 * p + 1)
-        for j, s in enumerate(ext):
-            pref[j + 1] = pref[j] + (s == a)
-        prefixes[a] = pref
+        q = w.period.count(a)
+        f = list(accumulate(((p if s == a else 0) - q for s in w.period), initial=0))
+        if max(f) - min(f) >= p:
+            walks[a] = f + f[1:]
+    if not walks:
+        return BalanceVerdict(balanced=True)
     for length in range(1, p + 1):
-        for a in range(1, w.k + 1):
-            pref = prefixes[a]
-            counts = [pref[s + length] - pref[s] for s in range(p)]
-            hi = max(counts)
-            lo = min(counts)
-            if hi - lo > 1:
+        for a, f in walks.items():
+            steps = [f[s + length] - f[s] for s in range(p)]
+            hi = max(steps)
+            lo = min(steps)
+            if hi - lo > p:
                 return BalanceVerdict(balanced=False, letter=a, window_length=length,
-                                      positions=(counts.index(hi), counts.index(lo)))
+                                      positions=(steps.index(hi), steps.index(lo)))
     raise AssertionError("range test and window search disagree")
 
 

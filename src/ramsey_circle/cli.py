@@ -109,6 +109,8 @@ def _read_restriction(path: str) -> list[tuple[int, ...]]:
 # subcommand handlers
 
 def _cmd_check(args) -> int:
+    if args.count and (args.brute or args.restrict):
+        raise ValueError("--count counts every copy: it takes neither --brute nor --restrict")
     c = parse_colouring(Path(args.input).read_text(encoding="utf-8"))
     inst = _parse_gaps(args.gaps, c.n)
     restriction = _read_restriction(args.restrict) if args.restrict else None
@@ -157,6 +159,8 @@ def _cmd_witness_search(args) -> int:
 
 
 def _cmd_beatty_check(args) -> int:
+    if args.half and args.betas is not None:
+        raise ValueError("--half sets the betas to alphas / 2: it takes no --betas")
     alphas = parse_fraction_list(args.alphas)
     if args.half:
         pair = beatty.BeattyPair.half_shift(alphas)
@@ -233,6 +237,8 @@ def _cmd_balanced_check(args) -> int:
 
 
 def _cmd_doubling(args) -> int:
+    if args.xs is not None and (args.k is not None or args.t is not None):
+        raise ValueError("--xs gives the orbit: it takes neither --k nor --t")
     if args.xs:
         xs = list(parse_fraction_list(args.xs))
         payload: dict = {"xs": [str(x) for x in xs]}

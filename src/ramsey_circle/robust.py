@@ -37,13 +37,11 @@ def t_set_empty(d: DistanceTuple) -> bool:
 def strongly_suitable_search(d: DistanceTuple, max_t: int) -> Optional[int]:
     """Smallest strongly-suitable t <= max_t within T, or None.
 
-    None is returned both when T is empty (see `t_set_empty`) and when the
-    sweep is exhausted.
+    None is returned both when T is empty (see `t_set_empty`), where the
+    sweep skips every t, and when the sweep is exhausted.
     """
     if d.k != 3:
         raise ValueError(f"triple analysis needs k = 3, got k = {d.k}")
-    if t_set_empty(d):
-        return None
     return next(suitable_ts(d, max_t, strong=True), None)
 
 

@@ -213,14 +213,14 @@ def dimacs_text(num_vars: int, num_clauses: int, blocks: Iterable[Iterable[int]]
         yield "".join(map(text.__getitem__, block))
 
 
-def dimacs_write(f: CnfFormula, comments: Sequence[str] = ()) -> str:
+def dimacs_write(f: CnfFormula) -> str:
     # joined 2^16 literal slots at a time: joining them all at once would
     # first list a pointer per slot, twice the size of the array.  Viewed,
     # not copied: copied slices put the k = 7 write-then-read 2 MB higher.
     step = 1 << 16
     slots = memoryview(f.literals)
     return "".join(dimacs_text(f.num_vars, f.num_clauses,
-                               (slots[i:i + step] for i in range(0, len(slots), step)), comments))
+                               (slots[i:i + step] for i in range(0, len(slots), step))))
 
 
 #: Characters of DIMACS text that `dimacs_read` splits into lines at a time.
@@ -334,9 +334,9 @@ def _solve(num_vars: int, stream: Callable[[], Iterable[int]],
                              "conflicts", "decisions", "propagations", "restarts")})
 
 
-def solve_external(f: CnfFormula, timeout: Optional[float] = None) -> SolverOutcome:
+def solve_external(f: CnfFormula) -> SolverOutcome:
     """Solve f with the bundled solver in-process (see `_solve`)."""
-    return _solve(f.num_vars, lambda: f.literals, timeout)
+    return _solve(f.num_vars, lambda: f.literals, None)
 
 
 def forcing(inst: DiscreteInstance, *, black: Optional[int] = None,

@@ -1,6 +1,8 @@
 """Beatty partition checks, owner words, balance, and diagnostics."""
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from _reference import (beatty_term, fraenkel_report, owner_word,
                         partition_verdict, window_balance)
 from ramsey_circle.beatty import (BalancedWord, BeattyPair, PartitionError,
-                                  PartitionVerdict, balanced_check,
+                                  PartitionVerdict, _mark_prefix, balanced_check,
                                   densities, fraenkel_diagnostics,
                                   partition_check, power_pair, word_from_pair)
 from ramsey_circle.core import power_tuple
@@ -315,6 +317,80 @@ def test_balanced_check_matches_window_search():
         assert balanced_check(BalancedWord(period)) == expected, period
         unbalanced += not expected.balanced
     assert 300 <= unbalanced <= 2700
+
+
+def letters_with_bad_windows(period):
+    """The letters whose count differs by more than 1 over some two windows
+    of one length, by counting every window of one unrolled period."""
+    p = len(period)
+    ext = tuple(period) * 2
+    return [a for a in range(1, max(period) + 1)
+            if any(max(c) - min(c) > 1 for c in
+                   ([ext[s:s + l].count(a) for s in range(p)] for l in range(1, p + 1)))]
+
+
+def test_balanced_check_matches_window_search_on_four_and_five_letters():
+    # several letters fail the range test at once, and the first violating
+    # length is often a later letter's: the walks keep the window search's
+    # order, length outer and letter inner
+    rng = random.Random(53)
+    seen = {"balanced": 0, "several": 0, "later letter": 0}
+    for _ in range(1500):
+        p = rng.randint(4, 16)
+        k = rng.choice((4, 5))
+        period = [rng.randint(1, k) for _ in range(p)]
+        relabel = {x: i + 1 for i, x in enumerate(sorted(set(period)))}
+        period = tuple(relabel[x] for x in period)
+        expected = window_balance(period)
+        assert balanced_check(BalancedWord(period)) == expected, period
+        bad = letters_with_bad_windows(period)
+        seen["balanced"] += expected.balanced
+        seen["several"] += len(bad) >= 2
+        seen["later letter"] += not expected.balanced and expected.letter != bad[0]
+    assert seen["balanced"] >= 50 and seen["several"] >= 600 and seen["later letter"] >= 150, seen
+
+
+def test_marking_equal_sequences_holds_only_the_owner_list():
+    # five copies of one sequence: the last four meet a marked value at
+    # every term, and the marking holds no entry per collision
+    pair = BeattyPair((F(100_001, 100_000),) * 5, (F(0),) * 5)
+    L = periodic_start(pair) + pair.common_numerator()
+    tracemalloc.start()
+    try:
+        verdict = partition_check(pair, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == PartitionVerdict("collision", 0, (1, 2))
+    assert peak < 2 * sys.getsizeof([0] * L)
+
+
+def marking_lines(pair, M):
+    """Lines of `_mark_prefix` run while checking pair on [0, M): a count
+    of the work done that does not depend on the clock."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace if frame.f_code is _mark_prefix.__code__ else None)
+    try:
+        partition_check(pair, M)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def test_a_sequence_stops_marking_at_its_first_collision():
+    # the four copies of sequence 1 each stop at value 0: barely more lines
+    # than marking sequence 1 alone, not five times as many
+    alpha = F(1001, 1000)
+    one = marking_lines(BeattyPair((alpha,), (F(0),)), 10**6)
+    five = marking_lines(BeattyPair((alpha,) * 5, (F(0),) * 5), 10**6)
+    assert one > 3000 and five < one + 100, (one, five)
 
 
 def test_power_word_k10_matches_full_marking():

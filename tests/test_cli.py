@@ -97,6 +97,31 @@ def test_check_restriction_file(capsys, split7, tmp_path):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--count", "--brute"], "it takes neither --brute nor --restrict"),
+    (["check", "--count", "--restrict", "orders.txt"], "it takes neither --brute nor --restrict"),
+    (["beatty-check", "--alphas", "7/4,7/2,7", "--half", "--betas", "0,0,0", "--limit", "10"],
+     "it takes no --betas"),
+    (["doubling", "--xs", "3/5,3/5,3/5,-9/10,-9/10", "--k", "3"], "it takes neither --k nor --t"),
+    (["doubling", "--xs", "3/5,3/5,3/5,-9/10,-9/10", "--t", "1"], "it takes neither --k nor --t"),
+])
+def test_flags_a_command_would_drop_are_refused(capsys, split7, tmp_path, monkeypatch,
+                                                argv, message):
+    # `check --count` counts every copy, so it once read a restriction file
+    # and printed the unrestricted count; now no file is read
+    (tmp_path / "orders.txt").write_text("4,2,1\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "parse_colouring", lambda text: pytest.fail("colouring read"))
+    monkeypatch.setattr(cli, "_read_restriction", lambda path: pytest.fail("orders read"))
+    if argv[0] == "check":
+        argv = argv[:1] + ["--input", split7, "--gaps", "4,2,1"] + [
+            str(tmp_path / arg) if arg == "orders.txt" else arg for arg in argv[1:]]
+    assert dispatch(["--json", *argv]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag", ["--brute", "--count", "--restrict"])
 def test_check_brute_force_above_the_budget_is_refused(capsys, tmp_path, flag):
     # 9 distinct gaps on Z_45: 362880 gap orders, 1814400 copies
@@ -745,8 +770,8 @@ def test_cnf_to_file(tmp_path, capsys):
     assert "p cnf 7 28" in out.read_text(encoding="utf-8")
 
 
-# sha256 of `dimacs_write(cnf_generate(k), comments=(f"k = {k}",))` as the
-# whole-formula writer produced it before `cnf` streamed its clauses
+# sha256 of the DIMACS text of `cnf_generate(k)` with the comment "k = {k}",
+# as the whole-formula writer produced it before `cnf` streamed its clauses
 CNF_SHA256 = {
     3: "d23d509bf726ef40d7192566eb87a8a5e8b0c7207639d4c3aaa786e94fb8f454",
     4: "e2091c2ee530c8e067af75eaca272bc946a4655aa2fb0331dcdb3768943f928b",
@@ -767,7 +792,8 @@ class _NoFormula:
 
 @pytest.mark.parametrize("k", sorted(CNF_SHA256))
 def test_cnf_streams_the_bytes_of_the_whole_formula_writer(k, tmp_path, capsys, monkeypatch):
-    expected = satgen.dimacs_write(satgen.cnf_generate(k), comments=(f"k = {k}",))
+    f = satgen.cnf_generate(k)
+    expected = "".join(satgen.dimacs_text(f.num_vars, f.num_clauses, [f.literals], (f"k = {k}",)))
     assert hashlib.sha256(expected.encode()).hexdigest() == CNF_SHA256[k]
     monkeypatch.setattr(satgen, "CnfFormula", _NoFormula())
     path = tmp_path / f"k{k}.cnf"

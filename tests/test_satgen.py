@@ -130,9 +130,9 @@ def test_dimacs_text_writes_formulas_with_repeated_gaps(n, gaps):
     # gaps `cnf` never writes: the text block by block equals the text of
     # the whole formula, and reads back as that formula
     num_clauses, blocks = satgen.copy_clauses(n, gaps)
-    text = "".join(satgen.dimacs_text(n, num_clauses, blocks, ("repeated gaps",)))
+    text = "".join(satgen.dimacs_text(n, num_clauses, blocks))
     f = copy_formula(n, gaps)
-    assert text == dimacs_write(f, ("repeated gaps",))
+    assert text == dimacs_write(f)
     assert dimacs_read(text) == f
 
 
@@ -798,10 +798,10 @@ def test_timeout_bounds_building_the_solver(clock, monkeypatch):
 
     monkeypatch.setattr(Solver, "_add_clause", add)
     monkeypatch.setattr(Solver, "solve", lambda self: pytest.fail("search ran"))
-    f = cnf_generate(5)
-    out = solve_external(f, timeout=0.3)
+    inst = DiscreteInstance(63, satgen.doubling_gaps(6))
+    out = satgen.forcing(inst, timeout=0.3)
     assert out.status == "UNKNOWN" and out.model is None
-    assert len(added) == 1024 < f.num_clauses
+    assert len(added) == 1024 < satgen.copy_clauses(inst.n, inst.gaps)[0]
 
 
 def test_timeout_bounds_building_the_clause_masks(clock, monkeypatch):
