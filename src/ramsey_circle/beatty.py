@@ -33,6 +33,13 @@ from .core import power_tuple
 #: `fraenkel_diagnostics` (p <= 10^6).  Marking 2 * 10^6 owners: ~0.4 s.
 MAX_WORD_LENGTH = 2 * 10**6
 
+#: Most walk steps `balanced_check` may take on one period of p letters: k p
+#: for the range test of its k letters, then p^2 for each letter that fails
+#: it, the most the window search can take.  Each charge is refused with
+#: ValueError before its work starts.  10^7 steps take about 1 s; the
+#: search over a 5168-letter period with two failing letters took 2.6 s.
+MAX_BALANCE_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class BeattyPair:
@@ -247,9 +254,17 @@ def balanced_check(w: BalancedWord) -> BalanceVerdict:
     fails is extended to two periods; length l in [1, p] outer and letter
     inner, l violates when f(s + l) - f(s) over the starts s in [0, p)
     spreads by more than p, and the first violation is reported with the
-    first starts of a window holding the most and the fewest a.
+    first starts of a window holding the most and the fewest a.  The range
+    test and the search are charged against `MAX_BALANCE_STEPS` first.
     """
+    def charge(steps: int) -> int:
+        if steps > MAX_BALANCE_STEPS:
+            raise ValueError(f"balance check of a {p}-letter period takes up to {steps} "
+                             f"walk steps, above the budget {MAX_BALANCE_STEPS}")
+        return steps
+
     p = w.period_length
+    charged = charge(w.k * p)
     walks = {}
     for a in range(1, w.k + 1):
         q = w.period.count(a)
@@ -258,6 +273,7 @@ def balanced_check(w: BalancedWord) -> BalanceVerdict:
             walks[a] = f + f[1:]
     if not walks:
         return BalanceVerdict(balanced=True)
+    charge(charged + len(walks) * p * p)
     for length in range(1, p + 1):
         for a, f in walks.items():
             steps = [f[s + length] - f[s] for s in range(p)]

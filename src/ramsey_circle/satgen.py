@@ -23,7 +23,11 @@ The bundled CDCL solver (`dimacs_solver.Solver`) runs in-process on the
 clause lists `clause_lists` splits from a literal stream: a formula's, or
 the blocks of `copy_clauses` as they are made.  `forcing`, the one query
 behind `solve` and `nearly-ramsey`, builds no formula; a SAT model is
-checked against the stream made again and then by the detector.
+checked against the stream made again and then by the detector.  The
+search uses the formulas' symmetries: `_solve` sets the least variable
+true when the clauses are closed under colour swap, and `forcing` gives the
+solver the `multipliers` of the gaps, under which it adds the images of
+its short learnt clauses.  `cnf` and `dimacs_write` write the plain formula.
 """
 
 from __future__ import annotations
@@ -294,20 +298,29 @@ def dimacs_read(text: str) -> CnfFormula:
     return CnfFormula._unchecked(num_vars, literals, num_clauses)   # every token checked above
 
 
-def _solve(num_vars: int, stream: Callable[[], Iterable[int]],
-           timeout: Optional[float], black: Optional[int] = None) -> SolverOutcome:
+def _solve(num_vars: int, stream: Callable[[], Iterable[int]], timeout: Optional[float],
+           black: Optional[int] = None, symmetries: Sequence[Sequence[int]] = ()) -> SolverOutcome:
     """Solve the literal stream `stream()` with the bundled solver
     in-process.  The solver's timeout, bounding its build (which draws the
-    stream) as well as the search, gives UNKNOWN with no counters.  A SAT
-    model is checked against every clause of a second `stream()`, then decoded.
+    stream) and its check of the clauses as well as the search, gives
+    UNKNOWN with no counters.  A SAT model is checked against every clause
+    of a second `stream()`, then decoded.
+
+    With no `black` vertex, when the clauses held are closed under negating
+    every literal, the least variable v that occurs is set true: the colour
+    swap of a model is a model, so F and F with the unit (v) are SAT
+    together.  Each of `symmetries`, variable permutations indexed by
+    variable, must map F (less the black literal) onto itself and fix v;
+    then it maps every clause F and (v) imply to one they imply, and the
+    solver holds the images of its short learnt clauses.
 
     A `black` vertex matches both colours: its literal leaves every clause,
     its bit of the model is clear, and each decision sets false (blue) the
     highest unassigned variable.  So the model M is the least red mask: an
     x true in M was implied after decisions above x only; a model agreeing
-    with M above x meets them, the formula and the learnt clauses (which
-    follow from it), so propagation sets x true in it too, whatever the
-    restarts and backjumps.
+    with M above x meets them, the formula and the learnt clauses and
+    images (which follow from it: there is no unit), so propagation sets x
+    true in it too, whatever the restarts and backjumps.
     """
     from .dimacs_solver import Solver   # here: importing satgen, and so the CLI, loads no solver
 
@@ -317,7 +330,9 @@ def _solve(num_vars: int, stream: Callable[[], Iterable[int]],
         stream = lambda: itertools.filterfalse(dropped.__contains__, source())
     started = time.monotonic()
     try:
-        solver = Solver(num_vars, clause_lists(stream()), timeout, order)
+        solver = Solver(num_vars, clause_lists(stream()), timeout, order, symmetries)
+        if black is None and solver.negation_closed():
+            solver.add_unit(next(v for v in range(1, num_vars + 1) if solver.occ[v]))
         model = solver.solve()
     except TimeoutError:
         return SolverOutcome(status="UNKNOWN", model=None, solver_time=time.monotonic() - started)
@@ -339,6 +354,18 @@ def solve_external(f: CnfFormula) -> SolverOutcome:
     return _solve(f.num_vars, lambda: f.literals, None)
 
 
+def multipliers(n: int, gaps: Sequence[int]) -> list[int]:
+    """The units u mod n with u * gaps = +-(a permutation of gaps) mod n, a
+    group: the vertex map v -> u v fixes 0 and maps every copy of gaps on
+    Z_n to a copy (with the gaps reversed for -), so it maps the clauses of
+    `copy_formula(n, gaps)` onto themselves."""
+    from math import gcd
+
+    target = sorted(gaps)
+    return [u for u in range(1, n) if gcd(u, n) == 1 and any(
+        sorted(sign * u * g % n for g in gaps) == target for sign in (1, -1))]
+
+
 def forcing(inst: DiscreteInstance, *, black: Optional[int] = None,
             timeout: Optional[float] = None) -> SolverOutcome:
     """Whether every two-colouring of Z_n, with a `black` vertex matching
@@ -346,9 +373,14 @@ def forcing(inst: DiscreteInstance, *, black: Optional[int] = None,
     with a colouring that holds none (the least, with `black`).  The
     `copy_clauses` blocks go to `_solve` as they are made, and its model is
     re-checked with the detector: one holding a copy is a broken pipeline.
+    The solver is given the `multipliers` that fix the black vertex as
+    permutations of the variables.
     """
-    outcome = _solve(inst.n, lambda: itertools.chain.from_iterable(
-        copy_clauses(inst.n, inst.gaps)[1]), timeout, black)
+    n = inst.n
+    symmetries = [[0, *(u * v % n + 1 for v in range(n))] for u in multipliers(n, inst.gaps)
+                  if u != 1 and (black is None or u * black % n == black)]
+    outcome = _solve(n, lambda: itertools.chain.from_iterable(copy_clauses(n, inst.gaps)[1]),
+                     timeout, black, symmetries)
     if outcome.model is not None and (witness := detect_bruteforce(outcome.model, inst)):
         raise ModelValidationError(f"solver model on Z_{inst.n} holds the copy {witness}: "
                                    "the encoding or solver pipeline is broken")

@@ -9,6 +9,7 @@ import pytest
 
 from _reference import (beatty_term, fraenkel_report, owner_word,
                         partition_verdict, window_balance)
+from ramsey_circle import beatty
 from ramsey_circle.beatty import (BalancedWord, BeattyPair, PartitionError,
                                   PartitionVerdict, _mark_prefix, balanced_check,
                                   densities, fraenkel_diagnostics,
@@ -303,6 +304,23 @@ def test_partition_verdict_does_not_depend_on_a_huge_limit():
     assert partition_check(slow, M) == PartitionVerdict("collision", 0, (1, 1))
     report = fraenkel_diagnostics(power_pair(3), M)
     assert report.exact and report == fraenkel_report(power_pair(3), 100)
+
+
+def test_balanced_check_refuses_walks_above_its_budget(monkeypatch):
+    # p distinct letters are charged p^2 steps for the range test, so 3163
+    # of them are refused before a walk is built; two letters failing it
+    # over p letters add 2 p^2 for the window search, so p = 2236 is refused
+    # after the range test
+    assert beatty.MAX_BALANCE_STEPS == 10**7
+    assert balanced_check(BalancedWord(tuple(range(1, 3163)))).balanced
+    verdict = balanced_check(BalancedWord((1,) * 1117 + (2,) * 1117))
+    assert (verdict.letter, verdict.window_length) == (1, 2)
+    with pytest.raises(ValueError, match="2236-letter period takes up to 10003864 walk steps, "
+                                         "above the budget 10000000"):
+        balanced_check(BalancedWord((1,) * 1118 + (2,) * 1118))
+    monkeypatch.setattr(beatty, "accumulate", lambda *args, **kwargs: pytest.fail("walked"))
+    with pytest.raises(ValueError, match="3163-letter period takes up to 10004569 walk steps"):
+        balanced_check(BalancedWord(tuple(range(1, 3164))))
 
 
 def test_balanced_check_matches_window_search():

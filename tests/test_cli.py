@@ -202,7 +202,7 @@ def test_malformed_colouring_file_is_usage_error(capsys, tmp_path, text, message
 
 @pytest.mark.parametrize("argv, module, name, stand_in, verdict", [
     (["solve", "--k", "3"], satgen, "doubling_gaps", lambda k: (5, 1, 1),
-     {"status": "SAT", "model": "7\nBBRBBRR\n"}),
+     {"status": "SAT", "model": "7\nRBBRBBR\n"}),
     (["nearly-ramsey", "--gaps", "1/3,1/3,1/3", "--n", "30"], robust,
      "is_claimed_nearly_ramsey", lambda d: True,
      {"verified": False, "counterexample": "30\nB" + "R" * 10 + "B" * 19 + "\nblack 0\n"}),
@@ -214,8 +214,9 @@ def test_malformed_colouring_file_is_usage_error(capsys, tmp_path, text, message
 def test_a_broken_claim_is_a_refutation(capsys, monkeypatch, argv, module, name, stand_in,
                                         verdict):
     # one stand-in breaks each claim: a SAT doubling formula (here of the
-    # tuple (5, 1, 1)), a counterexample to a triple claimed nearly Ramsey
-    # (the real one on Z_30), a red copy on the majority grid
+    # tuple (5, 1, 1), vertex 0 red by the colour-swap unit), a
+    # counterexample to a triple claimed nearly Ramsey (the real one on
+    # Z_30), a red copy on the majority grid
     monkeypatch.setattr(module, name, stand_in)
     code, body = run_json(capsys, argv)
     assert code == EXIT_REFUTATION
@@ -434,6 +435,14 @@ def test_balanced_check(capsys):
     assert code == EXIT_OK and body["balanced"] is True
     code, body = run_json(capsys, ["balanced-check", "--period", "1,1,2,2"])
     assert code == EXIT_NEGATIVE and body["letter"] == 1
+
+
+def test_balanced_check_refuses_a_period_above_the_walk_budget(capsys):
+    assert dispatch(["--json", "balanced-check", "--period", "a" * 1118 + "b" * 1118]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: balance check of a 2236-letter period takes up to "
+                            "10003864 walk steps, above the budget 10000000\n")
 
 
 @pytest.mark.parametrize("period", ["111111111", "1,2,31333221333112", "0,1", "2,3"])

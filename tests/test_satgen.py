@@ -1,5 +1,6 @@
 """CNF generation, DIMACS round-trips, and the solver pipeline."""
 
+import gc
 import itertools
 import random
 import subprocess
@@ -274,10 +275,14 @@ def test_dimacs_read_holds_one_block_of_lines(monkeypatch):
 
 def _traced(build):
     """What `build()` returns, the bytes it still holds and the most it held
-    at once, by tracemalloc."""
+    at once, by tracemalloc.  A full collection empties the interpreter's
+    free lists first: the lists and tuples the build freed into them, up to
+    their capacity (80 lists), are not held by what it built."""
     tracemalloc.start()
     try:
-        return build(), *tracemalloc.get_traced_memory()
+        built = build()
+        gc.collect()
+        return built, *tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -511,6 +516,90 @@ def test_learnt_clauses_follow_by_reverse_unit_propagation(seed):
     assert _propagates_to_conflict(known, [])   # and then the empty clause
 
 
+def _inexact_counts(solver):
+    """The clauses no propagated literal satisfies whose count in the planes
+    is not that of their literals no propagated literal made false."""
+    false = {-lit for lit in solver.trail[:solver.qhead]}
+    return [clause for c, clause in enumerate(solver.clauses) if not solver.sat >> c & 1
+            and sum((plane >> c & 1) << j for j, plane in enumerate(solver.planes))
+            != sum(lit not in false for lit in clause)]
+
+
+class _ForcingRecorder(Solver):
+    """The bundled solver, logging in order each clause it comes to hold
+    after its build (the unit, the learnt clauses and the images, with
+    whether the image's literals were all unassigned), and the clauses whose
+    counts are inexact after each return to level 0."""
+
+    log = []
+    inexact = []
+
+    def __init__(self, *args):
+        _ForcingRecorder.log, _ForcingRecorder.inexact = [], []
+        super().__init__(*args)
+
+    def add_unit(self, lit):
+        self.log.append(("unit", (lit,)))
+        super().add_unit(lit)
+
+    def _analyze(self, conflict):
+        learnt, back = super()._analyze(conflict)
+        self.log.append(("learnt", tuple(learnt)))
+        return learnt, back
+
+    def _hold(self, clause):
+        self.log.append(("image", tuple(clause), not any(self.val[lit] for lit in clause)))
+        super()._hold(clause)
+
+    def _add_images(self):
+        held = super()._add_images()
+        self.inexact.append(_inexact_counts(self))
+        return held
+
+
+def test_forcing_clauses_follow_by_reverse_unit_propagation_or_symmetry(monkeypatch):
+    # on the `forcing` route each clause held is RUP over the formula, the
+    # unit and the clauses held before it, or the image under a multiplier
+    # of a short learnt clause held before it, less literals those make
+    # false at level 0; an image's literals are unassigned when it is held
+    monkeypatch.setattr(dimacs_solver, "Solver", _ForcingRecorder)
+    assert verify_unavoidable(4).status == "UNSAT"
+    n = 15
+    log = _ForcingRecorder.log
+    assert log[0] == ("unit", (1,))
+    images = [{lit: (u * (abs(lit) - 1) % n + 1) * (1 if lit > 0 else -1)
+               for lit in range(-n, n + 1) if lit}
+              for u in satgen.multipliers(n, satgen.doubling_gaps(4))]
+    known = [*cnf_generate(4).clauses, (1,)]
+    short = []
+    for kind, clause, *unassigned in log[1:]:
+        if kind == "learnt":
+            assert _propagates_to_conflict(known, [-lit for lit in clause]), clause
+            if len(clause) <= dimacs_solver.IMAGED:
+                short.append(clause)
+        else:
+            assert unassigned == [True], clause
+            assert any(set(clause) <= full and all(
+                _propagates_to_conflict(known, [lit]) for lit in full - set(clause))
+                for full in ({image[lit] for lit in d} for image in images for d in short)), clause
+        known.append(clause)
+    assert _propagates_to_conflict(known, [])   # and then the empty clause
+    lengths = [(kind, len(clause)) for kind, clause, *_ in log]
+    assert [kind for kind, _ in lengths].count("learnt") == K4_COUNTERS[0] - 1
+    assert ("learnt", dimacs_solver.IMAGED + 1) in lengths
+    assert [kind for kind, _ in lengths].count("image") >= 20
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_images_leave_every_count_exact(monkeypatch, k):
+    # after each return to level 0, every clause no propagated literal
+    # satisfies counts exactly its literals no propagated literal made false
+    monkeypatch.setattr(dimacs_solver, "Solver", _ForcingRecorder)
+    assert verify_unavoidable(k).status == "UNSAT"
+    assert _ForcingRecorder.inexact and not any(_ForcingRecorder.inexact)
+    assert any(kind == "image" and len(clause) > 1 for kind, clause, *_ in _ForcingRecorder.log)
+
+
 class _RestartProbe(Solver):
     """Counts restarts entered with trail literals still to propagate, and
     those among them whose backjump skipped the literals."""
@@ -543,9 +632,13 @@ def test_restart_keeps_learnt_unit_for_propagation():
 
 
 # The search of the bundled solver on the k = 4 formula as (conflicts,
-# decisions, propagations, restarts); a change to these counts is a change
-# to the search, not only to its speed.
-K4_COUNTERS = (53, 56, 264, 0)
+# decisions, propagations, restarts): `Solver` alone, `solve_external` (with
+# the colour-swap unit) and `forcing` (the unit and the images under the
+# multipliers); a change to these counts is a change to the search, not
+# only to its speed.
+K4_PLAIN_COUNTERS = (53, 56, 264, 0)
+K4_UNIT_COUNTERS = (29, 30, 150, 0)
+K4_COUNTERS = (17, 16, 87, 0)
 
 
 def counters(out):
@@ -596,8 +689,8 @@ def test_bundled_solver_counters_on_k4():
     solver = Solver(f.num_vars, f.clauses)
     assert solver.solve() is None
     assert (solver.conflicts, solver.decisions, solver.propagations,
-            solver.restarts) == K4_COUNTERS
-    assert counters(solve_external(f)) == K4_COUNTERS
+            solver.restarts) == K4_PLAIN_COUNTERS
+    assert counters(solve_external(f)) == K4_UNIT_COUNTERS
 
 
 def test_solve_builds_no_formula(monkeypatch):
@@ -613,7 +706,183 @@ def test_solve_builds_no_formula(monkeypatch):
     outcomes = {k: verify_unavoidable(k) for k in (3, 4, 5)}
     assert {out.status for out in outcomes.values()} == {"UNSAT"}
     assert counters(outcomes[4]) == K4_COUNTERS
-    assert outcomes[5].conflicts == 1288
+    assert outcomes[5].conflicts == 263
+
+
+def copies_of(n, gaps):
+    """Every copy of gaps on Z_n as a vertex set, from every start in every order."""
+    return {frozenset((v + sum(order[:i])) % n for i in range(len(order)))
+            for v in range(n) for order in itertools.permutations(gaps)}
+
+
+def seeded_gaps(rng, n, most):
+    """Non-increasing gaps summing to n, 1 to `most` of them."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(most, n)) - 1))
+    return tuple(sorted((b - a for a, b in zip([0, *cuts], [*cuts, n])), reverse=True))
+
+
+def test_multipliers_match_a_search_over_every_unit():
+    # the definition searched term by term: u is a unit when some w has
+    # u w = 1 mod n, and a multiplier when one sign and one ordering of the
+    # gaps equal u times the gaps; each maps the copies onto themselves
+    rng = random.Random(3434)
+    larger = 0
+    for _ in range(200):
+        n = rng.randint(2, 40)
+        gaps = seeded_gaps(rng, n, 5)
+        if rng.random() < 0.3:   # repeated gaps, whose multipliers are more
+            m = rng.choice([d for d in range(1, 6) if n % d == 0])
+            gaps = (n // m,) * m
+        units = [u for u in range(1, n) if any(u * w % n == 1 for w in range(n))]
+        expected = [u for u in units if any(
+            all(sign * u * g % n == h for g, h in zip(gaps, order))
+            for sign in (1, -1) for order in itertools.permutations(gaps))]
+        assert satgen.multipliers(n, gaps) == expected, (n, gaps)
+        copies = copies_of(n, gaps)
+        for u in expected:
+            assert {frozenset(u * v % n for v in c) for c in copies} == copies, (n, gaps, u)
+        larger += len(expected) > 2
+    assert larger >= 30, larger
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_doubling_multipliers_are_the_signed_powers_of_two(k):
+    n = 2**k - 1
+    assert sorted(satgen.multipliers(n, satgen.doubling_gaps(k))) == sorted(
+        {sign * 2**j % n for sign in (1, -1) for j in range(k)})
+
+
+class _SymmetryCapture(Solver):
+    """The bundled solver, keeping the variable permutations it is given."""
+
+    given = []
+
+    def __init__(self, num_vars, clauses, timeout=None, order=None, symmetries=()):
+        _SymmetryCapture.given = [list(perm) for perm in symmetries]
+        super().__init__(num_vars, clauses, timeout, order, symmetries)
+
+
+@pytest.mark.parametrize("n, gaps", [
+    *((2**k - 1, satgen.doubling_gaps(k)) for k in range(3, 7)),
+    (12, (3, 3, 3, 3)), (10, (4, 3, 3)), (15, (5, 5, 5)), (16, (8, 4, 2, 2)),
+])
+def test_the_solver_symmetries_map_the_clauses_onto_themselves(monkeypatch, n, gaps):
+    # checked on the clause set itself, as sorted tuples: a solver model
+    # proves nothing on an UNSAT formula.  Every permutation `forcing` gives
+    # the solver, and the colour swap, maps the clauses onto themselves;
+    # there is one per multiplier but 1
+    monkeypatch.setattr(dimacs_solver, "Solver", _SymmetryCapture)
+    satgen.forcing(DiscreteInstance(n, gaps), timeout=0.5)
+    given = _SymmetryCapture.given
+    assert len(given) == len(satgen.multipliers(n, gaps)) - 1
+    clauses = {tuple(sorted(c)) for c in
+               clause_lists(itertools.chain.from_iterable(satgen.copy_clauses(n, gaps)[1]))}
+    assert {tuple(sorted(-lit for lit in c)) for c in clauses} == clauses
+    for perm in given:
+        assert sorted(perm[1:]) == list(range(1, n + 1)) and perm[1] == 1
+        assert {tuple(sorted(perm[lit] if lit > 0 else -perm[-lit] for lit in c))
+                for c in clauses} == clauses
+
+
+def test_forcing_with_a_black_vertex_keeps_the_multipliers_that_fix_it(monkeypatch):
+    monkeypatch.setattr(dimacs_solver, "Solver", _SymmetryCapture)
+    # the multipliers mod 15 are the signed powers of 2: 1, 2, 4, 7, 8, 11, 13, 14
+    for black, kept in ((0, [2, 4, 7, 8, 11, 13, 14]), (5, [4, 7, 13]), (3, [11]), (1, [])):
+        satgen.forcing(DiscreteInstance(15, (8, 4, 2, 1)), black=black)
+        assert [perm[2] - 1 for perm in _SymmetryCapture.given] == kept
+
+
+def negation_closed_formula(rng, nv):
+    """Random clauses of 2-4 literals and their negations, shuffled."""
+    half = [tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, nv + 1), rng.randint(2, min(4, nv))))
+            for _ in range(rng.randint(1, 3 * nv))]
+    clauses = half + [tuple(-lit for lit in c) for c in half]
+    rng.shuffle(clauses)
+    return clauses
+
+
+def test_formulas_closed_under_negation_agree_with_enumeration(monkeypatch):
+    # each gets the unit on its least variable, and each verdict is the
+    # enumeration's
+    units = []
+    add_unit = Solver.add_unit
+    monkeypatch.setattr(Solver, "add_unit", lambda self, lit: (units.append(lit),
+                                                               add_unit(self, lit))[1])
+    rng = random.Random(1212)
+    outcomes = {"SAT": 0, "UNSAT": 0}
+    for i in range(200):
+        nv = rng.randint(2, 12)
+        clauses = negation_closed_formula(rng, nv)
+        out = solve_external(CnfFormula(nv, clauses))
+        assert units[i] == min(abs(lit) for c in clauses for lit in c)
+        assert out.status == ("SAT" if brute_sat(nv, clauses) else "UNSAT")
+        if out.model is not None:
+            assert out.model.is_red(units[i] - 1)
+            red = {v + 1 for v in range(nv) if out.model.is_red(v)}
+            assert all(any((abs(lit) in red) == (lit > 0) for lit in c) for c in clauses)
+        outcomes[out.status] += 1
+    assert len(units) == 200 and min(outcomes.values()) >= 50, outcomes
+
+
+def test_a_formula_not_closed_under_negation_searches_as_the_plain_solver():
+    # one clause short of closed, or random: no unit, the plain counters and model
+    rng = random.Random(1313)
+    outcomes = {"SAT": 0, "UNSAT": 0, "closed": 0}
+    for i in range(200):
+        nv = rng.randint(2, 12)
+        clauses = negation_closed_formula(rng, nv)
+        if i % 2:
+            del clauses[rng.randrange(len(clauses))]
+        else:
+            clauses = [tuple(v if rng.random() < 0.5 else -v
+                             for v in rng.sample(range(1, nv + 1), rng.randint(1, min(3, nv))))
+                       for _ in range(rng.randint(1, 5 * nv))]
+        held = {tuple(sorted(set(c))) for c in clauses}
+        if {tuple(sorted(-lit for lit in c)) for c in held} == held:
+            outcomes["closed"] += 1
+            continue
+        plain = Solver(nv, clauses)
+        model = plain.solve()
+        out = solve_external(CnfFormula(nv, clauses))
+        assert counters(out) == counters(plain)
+        assert (out.model and out.model.red_mask) == (
+            model and sum(1 << (v - 1) for v in range(1, nv + 1) if model[v]))
+        outcomes[out.status] += 1
+    assert min(outcomes["SAT"], outcomes["UNSAT"]) >= 50 and outcomes["closed"] <= 10, outcomes
+
+
+@pytest.mark.parametrize("n, gaps", [
+    (7, (4, 2, 1)), (7, (3, 2, 2)), (7, (5, 1, 1)), (7, (3, 3, 1)),
+    (15, (8, 4, 2, 1)), (15, (5, 5, 5)), (15, (6, 6, 3)), (15, (7, 4, 4)),
+])
+def test_vertex_0_red_loses_no_orbit_of_copy_free_colourings(n, gaps):
+    # over every colouring: the copy-free ones are closed under the colour
+    # swap and the multipliers, each of their orbits has one with vertex 0
+    # red, and `forcing` (the unit and the images) finds one exactly when
+    # some colouring is copy-free
+    full = (1 << n) - 1
+    copies = [sum(1 << v for v in c) for c in copies_of(n, gaps)]
+    free = {mask for mask in range(1 << n)
+            if all(mask & c not in (0, c) for c in copies)}
+    maps = [lambda mask: mask ^ full] + [
+        lambda mask, u=u: sum(1 << (u * v % n) for v in range(n) if mask >> v & 1)
+        for u in satgen.multipliers(n, gaps)]
+    for f in maps:
+        assert set(map(f, free)) == free
+    unseen = set(free)
+    while unseen:
+        orbit, todo = set(), [unseen.pop()]
+        while todo:
+            mask = todo.pop()
+            if mask not in orbit:
+                orbit.add(mask)
+                todo += map(lambda f: f(mask), maps)
+        assert any(mask & 1 for mask in orbit)
+        unseen -= orbit
+    out = satgen.forcing(DiscreteInstance(n, gaps))
+    assert out.status == ("SAT" if free else "UNSAT")
+    assert out.model is None or out.model.red_mask in free and out.model.is_red(0)
 
 
 def test_default_route_writes_no_dimacs_and_starts_no_process(monkeypatch):
@@ -847,6 +1116,21 @@ def test_timeout_bounds_generating_the_formula(clock, monkeypatch):
     out = verify_unavoidable(5, timeout=5.0)
     assert out.status == "UNKNOWN" and out.model is None
     assert len(drawn) == 1024 // 24 + 1 < 2 * 31
+
+
+def test_timeout_bounds_the_negation_check(clock, monkeypatch):
+    # the build takes no time on the fake clock, the check starts 10 s in:
+    # its first block sees the 5 s deadline passed, and no search starts
+    check = Solver.negation_closed
+
+    def late(self):
+        clock.now += 10.0
+        return check(self)
+
+    monkeypatch.setattr(Solver, "negation_closed", late)
+    monkeypatch.setattr(Solver, "solve", lambda self: pytest.fail("search ran"))
+    out = verify_unavoidable(3, timeout=5.0)
+    assert out.status == "UNKNOWN" and out.model is None
 
 
 @pytest.mark.parametrize("clause, message", [
